@@ -327,8 +327,10 @@ Status StreamHandle::SerializeState(serial::Writer& w) const {
   w.U8(opt.nonnegative_factors ? 1 : 0);
   w.I64(opt.expected_nnz);
   w.I64(opt.fitness_resync_interval);
-  w.U8(static_cast<uint8_t>(opt.factor_precision));
-  w.U8(opt.force_generic_kernels ? 1 : 0);
+  // Retired bytes of the float32 factor mode and the per-engine generic
+  // kernel flag: always 0, kept so checkpoints stay byte-compatible.
+  w.U8(0);
+  w.U8(0);
   w.I32(opt.init.max_iterations);
   w.F64(opt.init.fitness_tolerance);
   w.U8(opt.init.normalize_columns ? 1 : 0);
@@ -409,14 +411,18 @@ StatusOr<StreamHandle> StreamHandle::DeserializeState(serial::Reader& r,
     return Status::DataLoss("checkpoint names unknown variant " +
                             std::to_string(variant));
   }
-  if (precision > static_cast<uint8_t>(FactorPrecision::kFloat32Accum64)) {
-    return Status::DataLoss("checkpoint names unknown factor precision " +
-                            std::to_string(precision));
+  if (precision != 0) {
+    return Status::DataLoss(
+        "checkpoint uses the removed float32 factor precision mode (byte " +
+        std::to_string(precision) + "); only float64 is supported");
+  }
+  if (force_generic != 0) {
+    return Status::DataLoss(
+        "checkpoint sets the removed per-engine generic-kernel flag; "
+        "pin the generic tier with SNS_FORCE_GENERIC_KERNELS instead");
   }
   opt.variant = static_cast<SnsVariant>(variant);
   opt.nonnegative_factors = nonnegative != 0;
-  opt.factor_precision = static_cast<FactorPrecision>(precision);
-  opt.force_generic_kernels = force_generic != 0;
   opt.init.normalize_columns = normalize != 0;
   auto handle = StreamHandle::Create(std::move(name), std::move(mode_dims),
                                      opt);

@@ -82,10 +82,7 @@ bool KernelTierSupported(KernelTier tier) {
   return false;
 }
 
-KernelTier ResolveKernelTier(bool force_generic) {
-  if (force_generic) return KernelTier::kGeneric;
-  return CachedAutoTier();
-}
+KernelTier ResolveKernelTier() { return CachedAutoTier(); }
 
 std::string CpuFeaturesSummary() {
   const CpuFeatures& f = DetectCpuFeatures();

@@ -9,11 +9,8 @@
 // where available. Non-x86 builds (or builds without the codelet TUs)
 // always resolve to the generic tier.
 //
-// Overrides, checked in this order:
-//   - ContinuousCpdOptions::force_generic_kernels pins one engine to the
-//     generic tier (passed as `force_generic` below),
-//   - the SNS_FORCE_GENERIC_KERNELS environment variable (set to anything
-//     but "0") pins the whole process.
+// Override: the SNS_FORCE_GENERIC_KERNELS environment variable (set to
+// anything but "0") pins the whole process to the generic tier.
 
 #ifndef SLICENSTITCH_COMMON_CPU_FEATURES_H_
 #define SLICENSTITCH_COMMON_CPU_FEATURES_H_
@@ -53,10 +50,10 @@ bool KernelTierCompiledIn(KernelTier tier);
 bool KernelTierSupported(KernelTier tier);
 
 /// The tier every auto-dispatched table resolves to: the widest supported
-/// tier, unless pinned to generic by `force_generic` or the
-/// SNS_FORCE_GENERIC_KERNELS environment variable. The environment lookup
-/// is cached after the first call (see internal::RefreshKernelTierForTest).
-KernelTier ResolveKernelTier(bool force_generic = false);
+/// tier, unless the SNS_FORCE_GENERIC_KERNELS environment variable pins it
+/// to generic. The environment lookup is cached after the first call (see
+/// internal::RefreshKernelTierForTest).
+KernelTier ResolveKernelTier();
 
 /// One-line provenance summary for benchmark JSON, e.g.
 /// "sse4.2+avx+fma+avx2+avx512f tier=avx512".

@@ -32,7 +32,7 @@ struct AlsWorkspace {
   void Prepare(const CpdState& state);
 
   /// Kernel tier every rank kernel of the sweep runs at. Set before
-  /// Prepare (SNS-MAT threads the engine's resolved tier through here).
+  /// Prepare.
   KernelTier tier = ResolveKernelTier();
 
   std::vector<Matrix> mttkrp;  // Per-mode MTTKRP output (factor-shaped).

@@ -127,13 +127,9 @@ ContinuousCpd::ContinuousCpd(std::vector<int64_t> mode_dims,
   state_ = CpdState(
       KruskalModel::Random(
           WithTimeMode(std::move(mode_dims), options.window_size),
-          options.rank, rng_),
-      ResolveKernelTier(options_.force_generic_kernels));
-  state_.SetFactorPrecision(options_.factor_precision);
+          options.rank, rng_));
   updater_ = MakeUpdater(options_);
   SNS_CHECK(updater_ != nullptr);
-  updater_->set_kernel_tier(
-      ResolveKernelTier(options_.force_generic_kernels));
   loss_ = &GetLossFunction(options_.loss);
   if (options_.loss != LossKind::kGaussian) {
     // The Gaussian default deliberately leaves the updater and tracker
@@ -153,10 +149,8 @@ void ContinuousCpd::IngestOnly(const Tuple& tuple) {
 }
 
 void ContinuousCpd::InitializeWithAls() {
-  const KernelTier tier = ResolveKernelTier(options_.force_generic_kernels);
   state_ = CpdState(
-      AlsDecompose(window_.tensor(), options_.rank, options_.init, rng_, tier),
-      tier);
+      AlsDecompose(window_.tensor(), options_.rank, options_.init, rng_));
   if (options_.variant != SnsVariant::kMat ||
       options_.loss != LossKind::kGaussian) {
     // The row variants operate on raw factors with λ = 1. The GCP sweep
@@ -178,9 +172,6 @@ void ContinuousCpd::InitializeWithAls() {
     }
     state_.RecomputeGrams();
   }
-  // Re-enter the configured precision: ALS produced fresh double factors,
-  // so mixed mode re-quantizes them and rebuilds the float32 mirrors.
-  state_.SetFactorPrecision(options_.factor_precision);
   fitness_tracker_.Reset(window_.tensor(), state_,
                          options_.fitness_resync_interval);
   // Robust mode restarts from a clean slate: (re)initialization explains the
@@ -314,7 +305,9 @@ void ContinuousCpd::SerializeTo(serial::Writer& w) const {
   // accumulate rounding in event order, so they bitwise-differ from a fresh
   // recomputation; restoring a recomputed Gram would fork the trajectory.
   for (const Matrix& gram : state_.grams) WriteMatrixEntries(w, gram);
-  w.U8(static_cast<uint8_t>(state_.precision));
+  // Retired factor-precision byte: always 0 (float64), kept so checkpoints
+  // stay byte-compatible.
+  w.U8(0);
 
   w.U32(kTagFitness);
   const FitnessAccumulators acc = fitness_tracker_.SaveAccumulators();
@@ -374,17 +367,13 @@ Status ContinuousCpd::RestoreFrom(serial::Reader& r) {
     SNS_RETURN_IF_ERROR(ReadMatrixEntries(r, factor));
   }
   for (double& lambda : model.lambda()) SNS_RETURN_IF_ERROR(r.F64(&lambda));
-  // Mixed precision: the serialized doubles already hold float32-
-  // representable values, so re-quantizing is an identity on them — it only
-  // rebuilds the float32 mirrors. Runs before the Grams are read because it
-  // recomputes them as a side effect.
-  if (state_.mixed()) state_.QuantizeFactorsToF32();
   for (Matrix& gram : state_.grams) SNS_RETURN_IF_ERROR(ReadMatrixEntries(r, gram));
   uint8_t stored_precision = 0;
   SNS_RETURN_IF_ERROR(r.U8(&stored_precision));
-  if (stored_precision != static_cast<uint8_t>(options_.factor_precision)) {
+  if (stored_precision != 0) {
     return Status::DataLoss(
-        "snapshot factor precision does not match the engine options");
+        "snapshot uses the removed float32 factor precision mode (byte " +
+        std::to_string(stored_precision) + "); only float64 is supported");
   }
 
   SNS_RETURN_IF_ERROR(ExpectTag(r, kTagFitness, "fitness"));

@@ -22,17 +22,6 @@ std::string VariantName(SnsVariant variant) {
   return "";  // Unreachable.
 }
 
-std::string FactorPrecisionName(FactorPrecision precision) {
-  switch (precision) {
-    case FactorPrecision::kFloat64:
-      return "f64";
-    case FactorPrecision::kFloat32Accum64:
-      return "f32a64";
-  }
-  SNS_CHECK(false && "FactorPrecisionName: unhandled FactorPrecision");
-  return "";  // Unreachable.
-}
-
 Status ContinuousCpdOptions::Validate() const {
   if (rank < 1) return Status::InvalidArgument("rank must be >= 1");
   if (window_size < 1) {

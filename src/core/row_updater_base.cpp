@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/mttkrp.h"
-
 namespace sns {
 
 void RowUpdaterBase::OnEvent(const SparseTensor& window,
@@ -38,7 +36,7 @@ void RowUpdaterBase::BeginEvent(const WindowDelta& delta,
   time_mode_ = state.num_modes() - 1;
   snap_rank_ = state.rank();
   snap_stride_ = PaddedRank(snap_rank_);
-  ws_.Prepare(state.num_modes(), snap_rank_, sample_capacity_, tier_);
+  ws_.Prepare(state.num_modes(), snap_rank_, sample_capacity_);
   gram_cache_.set_kernels(ws_.kernels);
   gram_cache_.BeginEvent(state.grams);
   // No-ops (and allocation-free) once sized for this shape.
@@ -144,10 +142,6 @@ double RowUpdaterBase::EvaluatePrevModel(const ModeIndex& index,
 
 void RowUpdaterBase::CommitRow(int mode, int64_t row, const double* old_row,
                                CpdState& state) {
-  // Mixed precision: quantize the just-written row through float32 (and
-  // sync its mirror) BEFORE the Gram update, so Q tracks the quantized
-  // factors exactly. No-op in float64 mode.
-  state.SyncRowToF32(mode, row);
   const double* new_row = state.model.factor(mode).Row(row);
   ApplyGramRowUpdate(state.grams[static_cast<size_t>(mode)], old_row, new_row,
                      *ws_.kernels);
@@ -190,29 +184,6 @@ void RowUpdaterBase::HadamardOfPrevGramsExcept(const CpdState& state,
       AddOuterProduct(ws.u_scratch, diff, diff + snap_stride_, *ws.kernels);
     }
     HadamardAccumulate(ws.h_prev, ws.u_scratch, *ws.kernels);
-  }
-}
-
-void RowUpdaterBase::HadamardRowDispatch(const CpdState& state,
-                                         const ModeIndex& index, int skip_mode,
-                                         double* out,
-                                         UpdateWorkspace& ws) const {
-  if (state.mixed()) {
-    HadamardRowProduct32(state.factors32, index, skip_mode, out, *ws.kernels);
-  } else {
-    HadamardRowProduct(state.model.factors(), index, skip_mode, out,
-                       *ws.kernels);
-  }
-}
-
-void RowUpdaterBase::MttkrpRowDispatch(const SparseTensor& window,
-                                       const CpdState& state, int mode,
-                                       int64_t row, double* out, double* had,
-                                       UpdateWorkspace& ws) const {
-  if (state.mixed()) {
-    MttkrpRow32(window, state.factors32, mode, row, out, had, *ws.kernels);
-  } else {
-    MttkrpRow(window, state.model.factors(), mode, row, out, had, *ws.kernels);
   }
 }
 

@@ -38,11 +38,6 @@ class RowUpdaterBase : public EventUpdater {
   void OnEvent(const SparseTensor& window, const WindowDelta& delta,
                CpdState& state) final;
 
-  /// Engine-resolved kernel tier for every rank kernel this updater runs
-  /// (workspace table, Gram cache, Cholesky solver). Takes effect at the
-  /// next event's workspace Prepare.
-  void set_kernel_tier(KernelTier tier) final { tier_ = tier; }
-
   /// Engine-configured pointwise loss. Gaussian (the default) changes
   /// nothing anywhere — GcpUpdateRow below bails out before touching any
   /// loss machinery, keeping the least-squares paths bitwise intact.
@@ -106,17 +101,6 @@ class RowUpdaterBase : public EventUpdater {
   /// for the dedup guarantee).
   int snapshot_count() const { return num_time_snaps_ + time_mode_; }
 
-  /// Precision-dispatched per-row kernels shared by every variant: mixed
-  /// precision reads the float32 factor mirrors with double accumulation,
-  /// float64 reads the double factors. Both run through ws.kernels (the
-  /// engine's pinned tier).
-  void HadamardRowDispatch(const CpdState& state, const ModeIndex& index,
-                           int skip_mode, double* out,
-                           UpdateWorkspace& ws) const;
-  void MttkrpRowDispatch(const SparseTensor& window, const CpdState& state,
-                         int mode, int64_t row, double* out, double* had,
-                         UpdateWorkspace& ws) const;
-
  private:
   void BeginEvent(const WindowDelta& delta, const CpdState& state);
 
@@ -126,7 +110,6 @@ class RowUpdaterBase : public EventUpdater {
   // under the Gaussian default.
   GcpRowWorkspace gcp_ws_;
   const LossFunction* loss_ = nullptr;
-  KernelTier tier_ = ResolveKernelTier();
   int64_t sample_capacity_;
   int time_mode_ = 0;
   int64_t snap_rank_ = 0;

@@ -26,8 +26,8 @@ void SnsRndUpdater::UpdateRow(int mode, int64_t row,
   if (degree <= sample_threshold_) {
     // Exact path (Alg. 4 lines 9-10): Eq. 12, identical to SNS-VEC's
     // non-time rule, applied to every mode including time.
-    MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(), ws.had.data(),
-                      ws);
+    MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
+              ws.had.data(), kr);
   } else {
     // Sampled path (Alg. 4 lines 11-14): Eq. 16.
     // First term: A(m)(row,:) H_prev with H_prev = ∗_{n≠m} U(n), each U(n)
@@ -44,14 +44,16 @@ void SnsRndUpdater::UpdateRow(int mode, int64_t row,
     for (const SampledCell& cell : ws.samples) {
       const double residual =
           cell.value - EvaluatePrevModel(cell.index, state);
-      HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+      HadamardRowProduct(state.model.factors(), cell.index, mode,
+                         ws.had.data(), kr);
       kr.axpy(residual, ws.had.data(), ws.rhs.data(), padded);
     }
 
     // ΔX term of Eq. 16.
     for (const DeltaCell& cell : delta.cells) {
       if (cell.index[mode] != row) continue;
-      HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+      HadamardRowProduct(state.model.factors(), cell.index, mode,
+                         ws.had.data(), kr);
       kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
     }
   }

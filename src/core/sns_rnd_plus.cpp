@@ -25,8 +25,8 @@ void SnsRndPlusUpdater::UpdateRow(int mode, int64_t row,
 
   if (degree <= sample_threshold_) {
     // Exact coordinate rule (Alg. 5 line 13 → Eq. 21) for every mode.
-    MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(), ws.had.data(),
-                      ws);
+    MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
+              ws.had.data(), kr);
   } else {
     // Sampled coordinate rule (Alg. 5 lines 9-11, 14 → Eq. 23):
     // e_k + Σ (x̄_J + Δx_J)·Π_{n≠m} a(n)_{j_n k} with
@@ -43,12 +43,14 @@ void SnsRndPlusUpdater::UpdateRow(int mode, int64_t row,
     for (const SampledCell& cell : ws.samples) {
       const double residual =
           cell.value - EvaluatePrevModel(cell.index, state);
-      HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+      HadamardRowProduct(state.model.factors(), cell.index, mode,
+                         ws.had.data(), kr);
       kr.axpy(residual, ws.had.data(), ws.rhs.data(), padded);
     }
     for (const DeltaCell& cell : delta.cells) {
       if (cell.index[mode] != row) continue;
-      HadamardRowDispatch(state, cell.index, mode, ws.had.data(), ws);
+      HadamardRowProduct(state.model.factors(), cell.index, mode,
+                         ws.had.data(), kr);
       kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
     }
   }

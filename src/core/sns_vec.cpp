@@ -30,7 +30,8 @@ void SnsVecUpdater::UpdateRow(int mode, int64_t row,
     kr.fill(ws.rhs.data(), 0.0, padded);
     for (const DeltaCell& cell : delta.cells) {
       if (cell.index[time_mode] != row) continue;
-      HadamardRowDispatch(state, cell.index, time_mode, ws.had.data(), ws);
+      HadamardRowProduct(state.model.factors(), cell.index, time_mode,
+                         ws.had.data(), kr);
       kr.axpy(cell.delta, ws.had.data(), ws.rhs.data(), padded);
     }
     ws.solver.Solve(ws.rhs.data(), ws.solution.data());
@@ -38,8 +39,8 @@ void SnsVecUpdater::UpdateRow(int mode, int64_t row,
   } else {
     // Eq. 12: A(m)(row,:) ← (X + ΔX)_(m)(row,:) K(m) H(m)†. The window
     // already contains the delta, so the row MTTKRP is the full right side.
-    MttkrpRowDispatch(window, state, mode, row, ws.rhs.data(), ws.had.data(),
-                      ws);
+    MttkrpRow(window, state.model.factors(), mode, row, ws.rhs.data(),
+              ws.had.data(), kr);
     ws.solver.Solve(ws.rhs.data(), ws.solution.data());
     kr.copy(ws.solution.data(), factor.Row(row), padded);
   }

@@ -6,7 +6,6 @@
 
 #include <string_view>
 
-#include "common/cpu_features.h"
 #include "core/cpd_state.h"
 #include "stream/event.h"
 #include "tensor/sparse_tensor.h"
@@ -29,12 +28,6 @@ class EventUpdater {
   /// Updates `state` in response to one event.
   virtual void OnEvent(const SparseTensor& window, const WindowDelta& delta,
                        CpdState& state) = 0;
-
-  /// Pins the kernel tier (common/cpu_features.h) this updater's rank
-  /// kernels run at — set by the engine from its resolved options before
-  /// any event. Default: ignored (updaters without SIMD-dispatched hot
-  /// loops need no tier).
-  virtual void set_kernel_tier(KernelTier /*tier*/) {}
 
   /// Pointwise loss the updater descends — set by the engine from its
   /// options before any event (never null afterwards; the engine always

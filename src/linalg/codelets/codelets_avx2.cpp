@@ -8,8 +8,8 @@
 // symbols into TUs built for baseline x86-64.
 //
 // Numeric contract (see rank_dispatch.h): elementwise kernels (fill, copy,
-// mul, mul_accum, and the f32 widening reads) are bitwise identical to the
-// generic tier — each lane is a single correctly-rounded operation.
+// mul, mul_accum) are bitwise identical to the generic tier — each lane is
+// a single correctly-rounded operation.
 // Multiply-accumulate kernels (axpy, fma3, gram_row_delta,
 // scaled_diff_accum, dot) use fused multiply-adds, which drop one rounding
 // per element relative to an uncontracted generic build, so they agree to
@@ -155,35 +155,6 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
 }
 
 template <int64_t P>
-void MulAccumF32(double* dst, const float* src, int64_t n) {
-  const int64_t m = Trip<P>(n);
-  int64_t r = 0;
-  for (; r + 4 <= m; r += 4) {
-    const __m256d wide = _mm256_cvtps_pd(_mm_loadu_ps(src + r));
-    _mm256_storeu_pd(dst + r, _mm256_mul_pd(_mm256_loadu_pd(dst + r), wide));
-  }
-  for (; r < m; ++r) dst[r] *= static_cast<double>(src[r]);
-}
-
-template <int64_t P>
-void Fma3F32(double v, const float* a, const float* b, double* out,
-             int64_t n) {
-  const int64_t m = Trip<P>(n);
-  const __m256d vv = _mm256_set1_pd(v);
-  int64_t r = 0;
-  for (; r + 4 <= m; r += 4) {
-    const __m256d wa = _mm256_cvtps_pd(_mm_loadu_ps(a + r));
-    const __m256d wb = _mm256_cvtps_pd(_mm_loadu_ps(b + r));
-    _mm256_storeu_pd(
-        out + r,
-        _mm256_fmadd_pd(vv, _mm256_mul_pd(wa, wb), _mm256_loadu_pd(out + r)));
-  }
-  for (; r < m; ++r) {
-    out[r] += v * (static_cast<double>(a[r]) * static_cast<double>(b[r]));
-  }
-}
-
-template <int64_t P>
 constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     P,
                                     &Fill<P>,
@@ -194,9 +165,7 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     &Fma3<P>,
                                     &Dot<P>,
                                     &GramRowDelta<P>,
-                                    &ScaledDiffAccum<P>,
-                                    &MulAccumF32<P>,
-                                    &Fma3F32<P>};
+                                    &ScaledDiffAccum<P>};
 
 }  // namespace
 

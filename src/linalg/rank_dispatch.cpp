@@ -18,9 +18,7 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecFma3<P>,
                                            &VecDot<P>,
                                            &VecGramRowDelta<P>,
-                                           &VecScaledDiffAccum<P>,
-                                           &VecMulAccumF32<P>,
-                                           &VecFma3F32<P>};
+                                           &VecScaledDiffAccum<P>};
 
 const RankKernelTable& GenericTable(int64_t padded_rank) {
   // Reuses DispatchPaddedRank so the specialization set lives in exactly

@@ -172,33 +172,6 @@ inline void VecScaledDiffAccum(double p, const double* SNS_RESTRICT new_row,
 }
 
 // ---------------------------------------------------------------------------
-// Float32-read primitives of the mixed-precision mode (factor rows stored
-// as float32, accumulation widened to double in-register — see
-// linalg/matrix32.h). `n` is the DOUBLE padded length PaddedRank(R); the
-// float rows' stride PaddedRank32(R) is always >= n, with zero lanes past
-// the logical rank, so the double trip count is in-bounds and tail-free.
-
-/// dst[r] *= (double)src[r]: Hadamard row accumulation from a float32 row.
-template <int64_t P>
-inline void VecMulAccumF32(double* SNS_RESTRICT dst,
-                           const float* SNS_RESTRICT src, int64_t n) {
-  const int64_t m = TripCount<P>(n);
-  for (int64_t r = 0; r < m; ++r) dst[r] *= static_cast<double>(src[r]);
-}
-
-/// out[r] += v · ((double)a[r] · (double)b[r]): fused 3-mode MTTKRP row
-/// accumulation from two float32 rows.
-template <int64_t P>
-inline void VecFma3F32(double v, const float* SNS_RESTRICT a,
-                       const float* SNS_RESTRICT b, double* SNS_RESTRICT out,
-                       int64_t n) {
-  const int64_t m = TripCount<P>(n);
-  for (int64_t r = 0; r < m; ++r) {
-    out[r] += v * (static_cast<double>(a[r]) * static_cast<double>(b[r]));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Function-pointer table over the primitives, resolved once per engine.
 
 /// The row-level kernel set the per-event updaters call directly. Resolved
@@ -230,10 +203,6 @@ struct RankKernelTable {
                          const double* old_row, double* g, int64_t n);
   void (*scaled_diff_accum)(double p, const double* new_row,
                             const double* prev_row, double* g, int64_t n);
-  // Mixed-precision factor reads (float32 rows, double accumulation).
-  void (*mul_accum_f32)(double* dst, const float* src, int64_t n);
-  void (*fma3_f32)(double v, const float* a, const float* b, double* out,
-                   int64_t n);
 };
 
 /// The auto-tier table for a given padded rank: a specialization for every

@@ -17,15 +17,6 @@ constexpr double kRidgeScale = 1e-9;
 // Backtracking schedule of the damped step.
 constexpr double kAlphas[] = {1.0, 0.5, 0.25, 0.125};
 
-void HadamardDispatch(const CpdState& state, const ModeIndex& index,
-                      int skip_mode, double* out, const RankKernelTable& kr) {
-  if (state.mixed()) {
-    HadamardRowProduct32(state.factors32, index, skip_mode, out, kr);
-  } else {
-    HadamardRowProduct(state.model.factors(), index, skip_mode, out, kr);
-  }
-}
-
 }  // namespace
 
 void GcpRowWorkspace::Prepare(int64_t rank, KernelTier tier) {
@@ -67,7 +58,8 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   double obj0 = 0.0;
   size_t c = 0;
   for (const SampledCell& cell : cells) {
-    HadamardDispatch(state, cell.index, mode, ws.had.data(), kr);
+    HadamardRowProduct(state.model.factors(), cell.index, mode,
+                       ws.had.data(), kr);
     const double theta = kr.dot(ws.had.data(), ws.old_row.data(), padded);
     ws.theta0[c] = theta;
     ++c;
@@ -112,7 +104,8 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
   // Pass 2: the step's θ-rate at every cell.
   c = 0;
   for (const SampledCell& cell : cells) {
-    HadamardDispatch(state, cell.index, mode, ws.had.data(), kr);
+    HadamardRowProduct(state.model.factors(), cell.index, mode,
+                       ws.had.data(), kr);
     ws.dtheta[c] = kr.dot(ws.had.data(), ws.step.data(), padded);
     ++c;
   }
@@ -138,7 +131,6 @@ bool GcpNewtonRowUpdate(CpdState& state, int mode, int64_t row,
       ws.candidate.data()[r] = v;
     }
     kr.copy(ws.candidate.data(), live_row, padded);
-    state.SyncRowToF32(mode, row);
     return true;
   }
   return false;

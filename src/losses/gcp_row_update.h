@@ -80,10 +80,8 @@ struct GcpRowWorkspace {
 
 /// One damped Newton step of A(mode)(row, :) on the restricted objective
 /// over `cells` (window coordinates + values; every cell must have
-/// index[mode] == row). Factors are read through the mixed-precision mirror
-/// when state.mixed() (matching the Gaussian hot path); the updated row is
-/// written back and re-quantized (SyncRowToF32) but the Grams are NOT
-/// touched — callers commit the row through their own Gram maintenance
+/// index[mode] == row). The updated row is written back but the Grams are
+/// NOT touched — callers commit the row through their own Gram maintenance
 /// (RowUpdaterBase::CommitRow) or recompute afterwards (GcpSweep).
 /// Returns true when the row changed; ws.old_row then holds its previous
 /// value. Pass clip_min = -inf / clip_max = +inf for unclipped variants.

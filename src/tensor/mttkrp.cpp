@@ -31,19 +31,6 @@ inline void HadamardRowProductImpl(const std::vector<Matrix>& factors,
   }
 }
 
-inline void HadamardRowProduct32Impl(const std::vector<Matrix32>& factors32,
-                                     const ModeIndex& index, int skip_mode,
-                                     double* out, int64_t rank, int64_t padded,
-                                     const RankKernelTable& kr) {
-  std::fill(out, out + rank, 1.0);
-  std::fill(out + rank, out + padded, 0.0);
-  for (size_t m = 0; m < factors32.size(); ++m) {
-    if (static_cast<int>(m) == skip_mode) continue;
-    kr.mul_accum_f32(out, factors32[m].Row(index[static_cast<int>(m)]),
-                     padded);
-  }
-}
-
 }  // namespace
 
 void HadamardRowProduct(const std::vector<Matrix>& factors,
@@ -57,14 +44,6 @@ void HadamardRowProduct(const std::vector<Matrix>& factors,
                         const RankKernelTable& kr) {
   HadamardRowProductImpl(factors, index, skip_mode, out, factors[0].cols(),
                          factors[0].stride(), kr);
-}
-
-void HadamardRowProduct32(const std::vector<Matrix32>& factors32,
-                          const ModeIndex& index, int skip_mode, double* out,
-                          const RankKernelTable& kr) {
-  const int64_t rank = factors32[0].cols();
-  HadamardRowProduct32Impl(factors32, index, skip_mode, out, rank,
-                           PaddedRank(rank), kr);
 }
 
 Matrix Mttkrp(const SparseTensor& x, const std::vector<Matrix>& factors,
@@ -137,30 +116,6 @@ void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
   }
   for (const SparseTensor::SliceEntry entry : x.Slice(mode, row)) {
     HadamardRowProductImpl(factors, entry.coords, mode, had, rank, padded, kr);
-    kr.axpy(entry.value, had, out, padded);
-  }
-}
-
-void MttkrpRow32(const SparseTensor& x, const std::vector<Matrix32>& factors32,
-                 int mode, int64_t row, double* out, double* had,
-                 const RankKernelTable& kr) {
-  const int64_t rank = factors32[0].cols();
-  const int64_t padded = PaddedRank(rank);
-  kr.fill(out, 0.0, padded);
-  if (factors32.size() == 3) {
-    int a, b;
-    OtherTwoModes(mode, &a, &b);
-    const Matrix32& fa = factors32[static_cast<size_t>(a)];
-    const Matrix32& fb = factors32[static_cast<size_t>(b)];
-    for (const SparseTensor::SliceEntry entry : x.Slice(mode, row)) {
-      kr.fma3_f32(entry.value, fa.Row(entry.coords[a]),
-                  fb.Row(entry.coords[b]), out, padded);
-    }
-    return;
-  }
-  for (const SparseTensor::SliceEntry entry : x.Slice(mode, row)) {
-    HadamardRowProduct32Impl(factors32, entry.coords, mode, had, rank, padded,
-                             kr);
     kr.axpy(entry.value, had, out, padded);
   }
 }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "linalg/matrix.h"
-#include "linalg/matrix32.h"
 #include "tensor/sparse_tensor.h"
 
 namespace sns {
@@ -27,20 +26,13 @@ struct RankKernelTable;  // linalg/rank_dispatch.h
 /// PaddedRank(R) values (padding is left zeroed).
 ///
 /// Table-taking overloads (here and below) run through the caller's cached
-/// RankKernelTable — the hot-path form, honoring an engine-pinned kernel
-/// tier; the plain overloads resolve the process-wide auto tier per call.
+/// RankKernelTable — the hot-path form; the plain overloads resolve the
+/// process-wide auto tier per call.
 void HadamardRowProduct(const std::vector<Matrix>& factors,
                         const ModeIndex& index, int skip_mode, double* out);
 void HadamardRowProduct(const std::vector<Matrix>& factors,
                         const ModeIndex& index, int skip_mode, double* out,
                         const RankKernelTable& kr);
-
-/// Mixed-precision form: reads float32 factor mirrors (linalg/matrix32.h),
-/// accumulating in double. `out` must hold PaddedRank(R) doubles, R =
-/// factors32[0].cols(); `kr` must match PaddedRank(R).
-void HadamardRowProduct32(const std::vector<Matrix32>& factors32,
-                          const ModeIndex& index, int skip_mode, double* out,
-                          const RankKernelTable& kr);
 
 /// Full sparse MTTKRP: returns the N_mode × R matrix
 /// X_(mode) (⊙_{m≠mode} A(m)), iterating once over the non-zeros of x.
@@ -64,12 +56,6 @@ void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
 void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,
                int mode, int64_t row, double* out, double* had,
                const RankKernelTable& kr);
-
-/// Mixed-precision row MTTKRP: factor rows are read from the float32
-/// mirrors with double accumulation. Same scratch contract as MttkrpRow.
-void MttkrpRow32(const SparseTensor& x, const std::vector<Matrix32>& factors32,
-                 int mode, int64_t row, double* out, double* had,
-                 const RankKernelTable& kr);
 
 /// Allocation-free full MTTKRP into a preallocated dim(mode)×R `out`
 /// (zeroed here); `had` must hold PaddedRank(R) values. The hot-path form

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "slicenstitch.h"
 #include "tensor/sparse_tensor.h"
 
@@ -27,9 +28,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-ContinuousCpdOptions SmallEngineOptions(
-    SnsVariant variant,
-    FactorPrecision precision = FactorPrecision::kFloat64) {
+ContinuousCpdOptions SmallEngineOptions(SnsVariant variant) {
   ContinuousCpdOptions options;
   options.rank = 4;
   options.window_size = 3;
@@ -37,7 +36,6 @@ ContinuousCpdOptions SmallEngineOptions(
   options.variant = variant;
   options.sample_threshold = 10;
   options.clip_bound = 1000.0;
-  options.factor_precision = precision;
   return options;
 }
 
@@ -317,6 +315,43 @@ TEST(CheckpointFaultInjectionTest, MagicAndVersionSkewAreTyped) {
   newer_version[4] = static_cast<char>(3);
   EXPECT_EQ(TryRestore(newer_version).code(),
             StatusCode::kFailedPrecondition);
+
+  // Bytes of removed modes. The options block keeps the bytes of the
+  // retired float32 factor precision and the per-engine generic-kernel
+  // flag, and the engine's model section still ends in a precision byte;
+  // writers emit 0. A valid envelope (CRC refreshed) with 1 in any of them
+  // was written in a removed mode and is refused as kDataLoss.
+  constexpr size_t kPayloadStart = 16;  // magic + version + payload size.
+  const size_t options_start = kPayloadStart + 8 /* sequence */ +
+                               8 + 2 /* name "fi" */ + 4 + 2 * 8 /* dims */;
+  const size_t option_precision_at =
+      options_start + 8 /* rank */ + 4 /* W */ + 8 /* T */ + 1 /* variant */ +
+      8 /* θ */ + 8 /* η */ + 1 /* nonnegative */ + 8 /* expected nnz */ +
+      8 /* fitness resync interval */;
+  // The model section is followed by the fitness section's "FITN" tag.
+  const size_t model_precision_at = valid.find("FITN", valid.find("CPDS")) - 1;
+  const struct {
+    size_t pos;
+    const char* removed_mode;
+  } retired_bytes[] = {
+      {option_precision_at, "float32 factor precision"},
+      {option_precision_at + 1, "generic-kernel flag"},
+      {model_precision_at, "float32 factor precision"},
+  };
+  for (const auto& retired : retired_bytes) {
+    SCOPED_TRACE(retired.pos);
+    ASSERT_EQ(valid[retired.pos], 0);
+    std::string removed_mode = valid;
+    removed_mode[retired.pos] = 1;
+    const uint32_t crc = Crc32(removed_mode.data() + kPayloadStart,
+                               removed_mode.size() - kPayloadStart - 4);
+    std::memcpy(removed_mode.data() + removed_mode.size() - 4, &crc,
+                sizeof(crc));
+    const Status status = TryRestore(removed_mode);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    EXPECT_NE(status.message().find(retired.removed_mode), std::string::npos)
+        << status.ToString();
+  }
 }
 
 // --- Journal unit behavior ------------------------------------------------
@@ -749,21 +784,6 @@ TEST(RecoveryDifferentialTest, AllVariantsShardsAndInterruptPoints) {
             << " interrupt=" << static_cast<int>(interrupt);
       }
     }
-  }
-}
-
-TEST(RecoveryDifferentialTest, MixedPrecisionRecoversBitwise) {
-  const DataStream stream = SmallStream(110, 23);
-  const ProtocolInput input = MakeProtocol(
-      stream, SmallEngineOptions(SnsVariant::kRndPlus,
-                                 FactorPrecision::kFloat32Accum64));
-  const std::string reference = RunUninterrupted(input, 0);
-  for (Interrupt interrupt :
-       {Interrupt::kBeforeWarmup, Interrupt::kMidBatches}) {
-    const std::string recovered =
-        RunRecovered(input, /*shards=*/1, interrupt, FreshDir("mixed"));
-    EXPECT_EQ(recovered, reference)
-        << "interrupt=" << static_cast<int>(interrupt);
   }
 }
 
