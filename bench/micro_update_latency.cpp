@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks: steady-state per-event update latency of
-// every SliceNStitch variant (the quantity behind Fig. 5a), the continuous
-// window bookkeeping alone (Algorithm 1), the storage share of one event
-// on the flat entry pool, and the Gram-solver ablation (Cholesky fast path
-// vs symmetric-eigen pseudoinverse) called out in DESIGN.md.
+// every SliceNStitch variant (the quantity behind Fig. 5a), stream set-up
+// (warm-up + ALS initialization), the continuous window bookkeeping alone
+// (Algorithm 1), the storage share of one event on the flat entry pool, and
+// the Gram-solver ablation (Cholesky fast path vs symmetric-eigen
+// pseudoinverse) called out in DESIGN.md.
 //
 // Unless --benchmark_out is given, results are also written as JSON to
 // BENCH_micro_update_latency.json in the working directory so the perf
@@ -151,6 +152,34 @@ void BM_ProcessTupleMat(benchmark::State& state) {
   state.SetLabel("SNS-MAT");
 }
 BENCHMARK(BM_ProcessTupleMat)->Iterations(100)->Unit(benchmark::kMicrosecond);
+
+// Stream set-up as the service pays it (§VI-A): ingest the first window
+// span of an NY-Taxi-shaped stream (265×265×10, R = 20), then initialize
+// with batch ALS. One iteration builds a fresh engine; the ALS sweeps
+// (MTTKRPs, multi-row Gram solves, the by-product stopping rule) dominate.
+void BM_AlsInitialize(benchmark::State& state) {
+  DatasetSpec spec = NewYorkTaxiPreset();
+  auto stream = GenerateSyntheticStream(spec.stream);
+  SNS_CHECK(stream.ok());
+  const int64_t warmup_end = spec.WarmupEndTime();
+  spec.engine.expected_nnz = stream.value().CountTuplesThrough(warmup_end);
+  std::vector<Tuple> warm;
+  for (const Tuple& tuple : stream.value().tuples()) {
+    if (tuple.time > warmup_end) break;
+    warm.push_back(tuple);
+  }
+  for (auto _ : state) {
+    auto created =
+        ContinuousCpd::Create(stream.value().mode_dims(), spec.engine);
+    SNS_CHECK(created.ok());
+    ContinuousCpd& engine = *created.value();
+    for (const Tuple& tuple : warm) engine.IngestOnly(tuple);
+    engine.InitializeWithAls();
+    benchmark::DoNotOptimize(engine.state().model.factor(0).Row(0));
+  }
+  state.counters["warm_tuples"] = static_cast<double>(warm.size());
+}
+BENCHMARK(BM_AlsInitialize)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Batched ingestion through the service facade (StreamHandle::Ingest over a
@@ -769,6 +798,32 @@ void BM_KernelCholeskySolve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_KernelCholeskySolve)->SNS_KERNEL_BENCH_ARGS;
+
+// The same solve over a whole factor's worth of rows (GramSolver::SolveRows,
+// the ALS-sweep form): rows are interleaved per elimination step, so their
+// latency-bound chains overlap. Items are rows — per-row cost is directly
+// comparable with BM_KernelCholeskySolve.
+void BM_KernelCholeskySolveRows(benchmark::State& state) {
+  KernelTier tier;
+  if (!ResolveBenchTier(state, &tier)) return;
+  const int64_t rank = state.range(0);
+  Rng rng(43);
+  Matrix a = Matrix::RandomNormal(4 * rank, rank, rng);
+  Matrix h = MultiplyTransposeA(a, a);
+  for (int64_t i = 0; i < rank; ++i) h(i, i) += 1.0;
+  GramSolver solver;
+  solver.set_kernels(&GetRankKernelTable(0, tier));
+  solver.Factorize(h);
+  const Matrix b = Matrix::RandomNormal(kKernelDim, rank, rng);
+  Matrix x(kKernelDim, rank);
+  for (auto _ : state) {
+    solver.SolveRows(b, x);
+    benchmark::DoNotOptimize(x.Row(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kKernelDim);
+}
+BENCHMARK(BM_KernelCholeskySolveRows)->SNS_KERNEL_BENCH_ARGS;
 
 }  // namespace
 }  // namespace sns

@@ -39,12 +39,10 @@ void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
     ws.grams.ProductExcept(m, ws.h);  // H of Alg. 2.
     ws.solver.Factorize(ws.h);
 
-    // A(m) ← U H† row by row, written in place: the MTTKRP of mode m never
-    // reads A(m), and later modes want the updated factor.
+    // A(m) ← U H†, written in place: the MTTKRP of mode m never reads
+    // A(m), and later modes want the updated factor.
     Matrix& factor = state.model.factor(m);
-    for (int64_t i = 0; i < factor.rows(); ++i) {
-      ws.solver.Solve(mttkrp.Row(i), factor.Row(i));
-    }
+    ws.solver.SolveRows(mttkrp, factor);
 
     if (normalize_columns) {
       // λ_r = ‖column r‖₂; Ā gets unit columns (Alg. 2 lines 5-6). Zero
@@ -81,18 +79,47 @@ void AlsSweep(const SparseTensor& x, CpdState& state,
   AlsSweep(x, state, normalize_columns, ws);
 }
 
+double AlsSweepFitness(const CpdState& state, double x_norm_sq,
+                       AlsWorkspace& ws) {
+  if (x_norm_sq <= 0.0) return 0.0;
+  const int last = state.num_modes() - 1;
+  const int64_t rank = state.rank();
+  const double* lambda = state.model.lambda().data();
+  // ⟨X, X̃⟩ = Σ_i Σ_r λ_r A(N)(i,r) U(N)(i,r): the last mode's MTTKRP was
+  // taken against the other modes' final factors of this sweep.
+  const Matrix& factor = state.model.factor(last);
+  const Matrix& mttkrp = ws.mttkrp[static_cast<size_t>(last)];
+  double inner = 0.0;
+  for (int64_t i = 0; i < factor.rows(); ++i) {
+    const double* a = factor.Row(i);
+    const double* u = mttkrp.Row(i);
+    for (int64_t r = 0; r < rank; ++r) inner += lambda[r] * a[r] * u[r];
+  }
+  // ‖X̃‖² = λ'(∗_m Q(m))λ over the Grams the sweep just refreshed.
+  ws.grams.ProductExcept(state.num_modes(), ws.h);
+  double model_norm_sq = 0.0;
+  for (int64_t r = 0; r < rank; ++r) {
+    const double* h_row = ws.h.Row(r);
+    for (int64_t s = 0; s < rank; ++s) {
+      model_norm_sq += lambda[r] * h_row[s] * lambda[s];
+    }
+  }
+  const double residual = model_norm_sq - 2.0 * inner + x_norm_sq;
+  return 1.0 - std::sqrt((residual > 0.0 ? residual : 0.0) / x_norm_sq);
+}
+
 KruskalModel AlsDecompose(const SparseTensor& x, int64_t rank,
                           const AlsOptions& options, Rng& rng,
                           KernelTier tier) {
   CpdState state(KruskalModel::Random(x.dims(), rank, rng), tier);
   AlsWorkspace ws;
   ws.tier = tier;
-  double previous_fitness = state.model.Fitness(x);
+  const double x_norm_sq = x.FrobeniusNormSquared();
+  double previous_fitness = 0.0;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     AlsSweep(x, state, options.normalize_columns, ws);
-    const double fitness = state.model.Fitness(x);
-    if (fitness - previous_fitness < options.fitness_tolerance &&
-        iter > 0) {
+    const double fitness = AlsSweepFitness(state, x_norm_sq, ws);
+    if (iter > 0 && fitness - previous_fitness < options.fitness_tolerance) {
       break;
     }
     previous_fitness = fitness;

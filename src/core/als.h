@@ -24,8 +24,11 @@ namespace sns {
 /// Preallocated scratch space of one ALS sweep, reused across sweeps (and
 /// across events by SNS-MAT, whose per-event sweep performs zero heap
 /// allocations once the workspace is warm — guarded by
-/// tests/hot_path_test.cpp). Rank-length scratch is aligned and padded
-/// (linalg/simd.h) so the padded rank-dispatch kernels apply.
+/// tests/hot_path_test.cpp). The multi-row Cholesky solve and the
+/// AlsSweepFitness stopping rule run on this scratch too, so an
+/// AlsDecompose iteration allocates nothing after the first sweep (the
+/// rare pseudoinverse fallback aside). Rank-length scratch is aligned and
+/// padded (linalg/simd.h) so the padded rank-dispatch kernels apply.
 struct AlsWorkspace {
   /// (Re)sizes the buffers for `state`'s shape and pins the solver / Gram
   /// chain to `tier`; allocation-free no-op when the shape is unchanged.
@@ -54,10 +57,24 @@ void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
 /// Convenience overload with a throwaway workspace.
 void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns);
 
+/// Fitness 1 − ‖X̃ − X‖_F / ‖X‖_F of `state.model` right after
+/// AlsSweep(x, state, ·, ws), read off the sweep's by-products (the CP-ALS
+/// identity of Kolda & Bader, SIAM Review 2009) instead of re-evaluating
+/// the model at every non-zero:
+///   ⟨X, X̃⟩ = Σ_i Σ_r λ_r A(N)(i,r) U(N)(i,r), with U(N) the last mode's
+///   MTTKRP still in ws.mttkrp, and ‖X̃‖² = λ'(∗_m Q(m))λ from
+///   state.grams through ws.grams (at ws.tier).
+/// `x_norm_sq` is ‖X‖²_F; returns 0 when it is 0, like
+/// KruskalModel::Fitness, which it matches up to rounding. O(N_N·R + N·R²)
+/// and allocation-free.
+double AlsSweepFitness(const CpdState& state, double x_norm_sq,
+                       AlsWorkspace& ws);
+
 /// Batch CP decomposition of `x` with random Uniform[0,1) initialization:
 /// sweeps until the fitness gain drops below options.fitness_tolerance or
-/// options.max_iterations is hit. `tier` pins the sweep kernels (the
-/// fitness evaluations of the stopping rule run at the auto tier).
+/// options.max_iterations is hit. `tier` pins the sweep kernels; the
+/// stopping rule's fitness is AlsSweepFitness, which runs on the sweep's
+/// own Grams at the same tier.
 KruskalModel AlsDecompose(const SparseTensor& x, int64_t rank,
                           const AlsOptions& options, Rng& rng,
                           KernelTier tier = ResolveKernelTier());

@@ -10,6 +10,9 @@
 namespace sns {
 namespace {
 
+// Rows GramSolver::SolveRows interleaves per Cholesky elimination step.
+constexpr int64_t kSolveRowBlock = 4;
+
 // Minimum acceptable ratio between the smallest and largest Cholesky pivot:
 // below this the Gram is treated as numerically singular and the
 // pseudoinverse path is used instead.
@@ -49,6 +52,30 @@ void GramSolver::Solve(const double* b, double* x) const {
                             rt_ ? *rt_ : GetRankKernelTable(0));
 }
 
+void GramSolver::SolveRows(const Matrix& b, Matrix& x) const {
+  SNS_CHECK(b.rows() == x.rows() && b.cols() == x.cols());
+  if (use_pinv_) {
+    for (int64_t i = 0; i < b.rows(); ++i) {
+      RowTimesMatrix(b.Row(i), pinv_, x.Row(i));
+    }
+    return;
+  }
+  const int64_t n = upper_.rows();
+  SNS_CHECK(b.cols() == n);
+  const RankKernelTable& rt = rt_ ? *rt_ : GetRankKernelTable(0);
+  double* rows[kSolveRowBlock];
+  for (int64_t first = 0; first < b.rows(); first += kSolveRowBlock) {
+    const int count =
+        static_cast<int>(std::min(kSolveRowBlock, b.rows() - first));
+    for (int j = 0; j < count; ++j) {
+      const double* src = b.Row(first + j);
+      rows[j] = x.Row(first + j);
+      std::copy(src, src + n, rows[j]);
+    }
+    CholeskySolveUpperRowsInPlace(upper_, rows, count, rt);
+  }
+}
+
 void SolveRowAgainstGram(const Matrix& h, const double* b, double* x) {
   GramSolver solver;
   solver.Factorize(h);
@@ -60,7 +87,7 @@ Matrix SolveRowsAgainstGram(const Matrix& h, const Matrix& b) {
   GramSolver solver;
   solver.Factorize(h);
   Matrix x(b.rows(), b.cols());
-  for (int64_t i = 0; i < b.rows(); ++i) solver.Solve(b.Row(i), x.Row(i));
+  solver.SolveRows(b, x);
   return x;
 }
 

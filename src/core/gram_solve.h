@@ -30,6 +30,13 @@ class GramSolver {
   /// must not alias.
   void Solve(const double* b, double* x) const;
 
+  /// X = B H† for every row of `b` (m×n) into `x` (m×n; only the n logical
+  /// values of each row are written). Rows are solved in interleaved blocks
+  /// so their dependency chains overlap; each row is bitwise identical to
+  /// Solve on it. `b` and `x` must not alias. Allocation-free on the
+  /// Cholesky path, like Solve.
+  void SolveRows(const Matrix& b, Matrix& x) const;
+
   /// Pins the RUNTIME-LENGTH kernel table (padded_rank == 0) the Cholesky
   /// row-suffix loops run through — set by UpdateWorkspace::Prepare to the
   /// engine's kernel tier. Unset, each Factorize/Solve resolves the
@@ -48,7 +55,7 @@ class GramSolver {
 void SolveRowAgainstGram(const Matrix& h, const double* b, double* x);
 
 /// Computes X = B H† for a full matrix of right-hand rows (B is m×n, H is
-/// n×n). Used by batch ALS / SNS-MAT.
+/// n×n). One-shot convenience over GramSolver::SolveRows.
 Matrix SolveRowsAgainstGram(const Matrix& h, const Matrix& b);
 
 }  // namespace sns

@@ -53,6 +53,14 @@ void CholeskySolveUpperInPlace(const Matrix& upper, double* x);
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
                                const RankKernelTable& kr);
 
+/// Solves `count` right-hand sides at once: `rows[j]` holds b_j on entry
+/// and x_j on exit. The rows are interleaved per elimination step so their
+/// latency-bound dependency chains overlap, but each row goes through
+/// exactly the kernel calls of the single-row form, in the same order —
+/// every solution is bitwise identical to CholeskySolveUpperInPlace's.
+void CholeskySolveUpperRowsInPlace(const Matrix& upper, double* const* rows,
+                                   int count, const RankKernelTable& kr);
+
 /// Cholesky factorization of a symmetric positive-definite matrix.
 class Cholesky {
  public:

@@ -8,9 +8,11 @@
 #ifndef SLICENSTITCH_STREAM_EVENT_H_
 #define SLICENSTITCH_STREAM_EVENT_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/check.h"
 #include "tensor/mode_index.h"
 
 namespace sns {
@@ -36,6 +38,33 @@ struct DeltaCell {
   double delta = 0.0;
 };
 
+/// The changed cells of one event, stored inline: under Definition 6 an
+/// event changes at most two cells, so producing a window event never
+/// touches the heap. A third push_back is a logic error (SNS_CHECK).
+class DeltaCells {
+ public:
+  static constexpr size_t kCapacity = 2;
+
+  void push_back(const DeltaCell& cell) {
+    SNS_CHECK(size_ < kCapacity);
+    cells_[size_++] = cell;
+  }
+  void clear() { size_ = 0; }
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+
+  const DeltaCell& operator[](size_t i) const {
+    SNS_DCHECK(i < size_);
+    return cells_[i];
+  }
+  const DeltaCell* begin() const { return cells_.data(); }
+  const DeltaCell* end() const { return cells_.data() + size_; }
+
+ private:
+  std::array<DeltaCell, kCapacity> cells_;
+  size_t size_ = 0;
+};
+
 /// The change ΔX in the window due to one event (Definition 6): one cell for
 /// arrival/expiry, two for a slide. `w = (t − t_n)/T` distinguishes the
 /// cases (0 = arrival, 1..W−1 = slide, W = expiry).
@@ -44,7 +73,7 @@ struct WindowDelta {
   int w = 0;
   int64_t time = 0;      // When the event occurred.
   Tuple tuple;           // Originating stream tuple.
-  std::vector<DeltaCell> cells;
+  DeltaCells cells;
 };
 
 }  // namespace sns

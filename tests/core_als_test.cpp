@@ -1,6 +1,9 @@
 // Tests for batch ALS (Eq. 4) and the CpdState bookkeeping helpers.
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +225,152 @@ TEST(GramSolveTest, AgreesWithPinvOnSingularGram) {
   // Range of H is span{(1,1)}; projection of (1,2) is (1.5,1.5).
   EXPECT_NEAR(recon[0], 1.5, 1e-8);
   EXPECT_NEAR(recon[1], 1.5, 1e-8);
+}
+
+// ---------------------------------------------------------------------------
+// AlsDecompose's stopping rule reads the fitness off the sweep's own
+// by-products (AlsSweepFitness). Pinned here against the loop it replaced:
+// AlsSweep followed by an exact KruskalModel::Fitness re-evaluation.
+
+SparseTensor RandomSparse(const std::vector<int64_t>& dims, int draws,
+                          Rng& rng) {
+  SparseTensor x(dims);
+  for (int i = 0; i < draws; ++i) {
+    ModeIndex cell;
+    for (int64_t dim : dims) {
+      cell.PushBack(static_cast<int32_t>(rng.UniformInt(0, dim - 1)));
+    }
+    x.Set(cell, rng.UniformDouble(0.5, 2.0));
+  }
+  return x;
+}
+
+bool BitwiseEqual(const KruskalModel& a, const KruskalModel& b) {
+  if (a.num_modes() != b.num_modes() || a.rank() != b.rank()) return false;
+  if (std::memcmp(a.lambda().data(), b.lambda().data(),
+                  a.lambda().size() * sizeof(double)) != 0) {
+    return false;
+  }
+  for (int m = 0; m < a.num_modes(); ++m) {
+    const Matrix& fa = a.factor(m);
+    const Matrix& fb = b.factor(m);
+    if (fa.rows() != fb.rows()) return false;
+    for (int64_t i = 0; i < fa.rows(); ++i) {
+      if (std::memcmp(fa.Row(i), fb.Row(i), fa.cols() * sizeof(double)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// The model after every sweep of the reference loop (which keeps sweeping
+// one past its stopping point, so the neighbours of the stop exist), and
+// the number of sweeps the reference stopped after.
+struct ReferenceRun {
+  std::vector<KruskalModel> after_sweep;
+  int sweeps = 0;
+};
+
+ReferenceRun ReferenceAlsDecompose(const SparseTensor& x, int64_t rank,
+                                   const AlsOptions& options, Rng& rng) {
+  CpdState state(KruskalModel::Random(x.dims(), rank, rng));
+  AlsWorkspace ws;
+  ReferenceRun run;
+  double previous_fitness = state.model.Fitness(x);
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    AlsSweep(x, state, options.normalize_columns, ws);
+    run.after_sweep.push_back(state.model);
+    const double fitness = state.model.Fitness(x);
+    if (fitness - previous_fitness < options.fitness_tolerance && iter > 0) {
+      run.sweeps = iter + 1;
+      AlsSweep(x, state, options.normalize_columns, ws);
+      run.after_sweep.push_back(state.model);
+      return run;
+    }
+    previous_fitness = fitness;
+  }
+  run.sweeps = options.max_iterations;
+  return run;
+}
+
+struct StoppingFixture {
+  const char* name;
+  std::vector<int64_t> dims;
+  int draws;
+};
+
+const StoppingFixture kStoppingFixtures[] = {
+    {"3-mode", {9, 8, 7}, 150},
+    {"4-mode", {6, 5, 4, 3}, 120},
+};
+
+TEST(AlsStoppingRuleTest, DecomposeBitwiseMatchesExactFitnessLoop) {
+  for (const StoppingFixture& fixture : kStoppingFixtures) {
+    for (const bool normalize : {true, false}) {
+      SCOPED_TRACE(std::string(fixture.name) +
+                   (normalize ? " normalized" : " raw"));
+      Rng data_rng(11);
+      const SparseTensor x = RandomSparse(fixture.dims, fixture.draws, data_rng);
+      AlsOptions options;
+      options.max_iterations = 300;
+      options.fitness_tolerance = 1e-4;
+      options.normalize_columns = normalize;
+      Rng reference_rng(12);
+      Rng rng(12);
+      const ReferenceRun reference =
+          ReferenceAlsDecompose(x, 3, options, reference_rng);
+      const KruskalModel model = AlsDecompose(x, 3, options, rng);
+      // The tolerance, not the iteration cap, ended the run.
+      ASSERT_LT(reference.sweeps, options.max_iterations);
+      ASSERT_GE(reference.sweeps, 2);
+      const size_t stop = static_cast<size_t>(reference.sweeps) - 1;
+      EXPECT_TRUE(BitwiseEqual(model, reference.after_sweep[stop]));
+      // Same sweep count: one sweep fewer or more gives another model.
+      EXPECT_FALSE(BitwiseEqual(model, reference.after_sweep[stop - 1]));
+      EXPECT_FALSE(BitwiseEqual(model, reference.after_sweep[stop + 1]));
+    }
+  }
+}
+
+TEST(AlsStoppingRuleTest, SweepFitnessMatchesExactFitness) {
+  for (const StoppingFixture& fixture : kStoppingFixtures) {
+    for (const bool normalize : {true, false}) {
+      SCOPED_TRACE(std::string(fixture.name) +
+                   (normalize ? " normalized" : " raw"));
+      Rng rng(13);
+      const SparseTensor x = RandomSparse(fixture.dims, fixture.draws, rng);
+      const double x_norm_sq = x.FrobeniusNormSquared();
+      CpdState state(KruskalModel::Random(x.dims(), 3, rng));
+      AlsWorkspace ws;
+      for (int sweep = 0; sweep < 12; ++sweep) {
+        AlsSweep(x, state, normalize, ws);
+        const double exact = state.model.Fitness(x);
+        ASSERT_GT(std::abs(exact), 0.05) << "sweep " << sweep;
+        EXPECT_NEAR(AlsSweepFitness(state, x_norm_sq, ws), exact,
+                    1e-12 * std::abs(exact))
+            << "sweep " << sweep;
+      }
+    }
+  }
+}
+
+TEST(AlsStoppingRuleTest, AllZeroTensorStopsAsBefore) {
+  for (const bool normalize : {true, false}) {
+    SCOPED_TRACE(normalize ? "normalized" : "raw");
+    const SparseTensor x({4, 3, 5});
+    AlsOptions options;
+    options.normalize_columns = normalize;
+    Rng reference_rng(14);
+    Rng rng(14);
+    const ReferenceRun reference =
+        ReferenceAlsDecompose(x, 2, options, reference_rng);
+    const KruskalModel model = AlsDecompose(x, 2, options, rng);
+    // Fitness is 0 at every sweep, so the rule stops after the second.
+    EXPECT_EQ(reference.sweeps, 2);
+    EXPECT_TRUE(BitwiseEqual(model, reference.after_sweep[1]));
+    EXPECT_EQ(model.Fitness(x), 0.0);
+  }
 }
 
 }  // namespace

@@ -8,10 +8,14 @@
 // Status — never a crash, never a silently wrong state.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -1046,6 +1050,49 @@ std::string ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
+/// Parks the owning shard on the first window event after Arm() until
+/// Release(). Waiting for the park after one batch, then submitting the
+/// rest, queues a whole barrage before any later batch's journal append
+/// runs — so an append failure injected among them cannot race the
+/// producer into the quarantine's kUnavailable submit refusal.
+class ParkingSink : public EventSink {
+ public:
+  void Arm() { armed_.store(true, std::memory_order_release); }
+
+  /// True once the shard is parked; false (and the gate opened for good)
+  /// if it did not park within `timeout`.
+  bool AwaitParked(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (cv_.wait_for(lock, timeout, [this] { return parked_; })) return true;
+    released_ = true;
+    cv_.notify_all();
+    return false;
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  void OnStreamEvent(const StreamEvent&) override {
+    if (!armed_.exchange(false, std::memory_order_acq_rel)) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
 // THE acceptance differential: inject a journal-append failure in the
 // middle of an async barrage; the stream quarantines, auto-recovers on its
 // owning shard, re-appends, and every ticket still lands OK — and the
@@ -1061,21 +1108,34 @@ TEST_F(SelfHealingTest, InjectedAppendFailureHealsBitwise) {
     const std::string dir = FreshDir("heal_" + std::to_string(shards));
     const std::string ckpt = dir + ".ckpt";
     fs::remove(ckpt);
+    ParkingSink gate;  // Outlives the service and its shards.
     SnsService service = MakeService(shards);
     ASSERT_TRUE(service.CreateStream("s", {6, 5}, input.options).ok());
+    // Attached before any task touches the stream, so the raw handle
+    // cannot race its shard.
+    ASSERT_TRUE(service.Find("s")->AddSink(&gate).ok());
     ASSERT_TRUE(service.EnableJournal("s", dir).ok());
     ASSERT_TRUE(service.CheckpointToFile("s", ckpt).ok());
     ASSERT_TRUE(service.EnableAutoRecovery("s", ckpt, TestPolicy()).ok());
     ASSERT_TRUE(service.Warmup("s", input.warmup).ok());
     ASSERT_TRUE(service.Initialize("s").ok());
 
+    // Sharded: the shard parks inside the first batch (its append already
+    // done) until the whole barrage is queued, so the failing append runs
+    // with no producer left to meet the quarantine's submit-time refusal.
+    // Inline execution runs each batch on this thread and needs no gate.
+    if (shards > 0) gate.Arm();
     std::vector<Ticket> tickets;
     for (size_t i = 0; i < input.batches.size(); ++i) {
       if (i == input.batches.size() / 2) {
         ASSERT_TRUE(failpoint::Arm("journal.append", "once").ok());
       }
       tickets.push_back(service.IngestAsync("s", input.batches[i]));
+      if (i == 0 && shards > 0) {
+        ASSERT_TRUE(gate.AwaitParked(std::chrono::seconds(30)));
+      }
     }
+    gate.Release();
     for (Ticket& ticket : tickets) EXPECT_TRUE(ticket.Wait().ok());
     ASSERT_TRUE(service.AdvanceTo("s", input.horizon).ok());
 

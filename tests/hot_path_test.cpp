@@ -38,6 +38,7 @@
 #include "core/sns_rnd_plus.h"
 #include "core/sns_vec.h"
 #include "core/sns_vec_plus.h"
+#include "stream/continuous_window.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/scoped_timer.h"
 #include "tensor/mttkrp.h"
@@ -275,6 +276,47 @@ TEST(ZeroAllocationTest, MetricsRecordingSteadyStateAllocatesNothing) {
   EXPECT_EQ(metrics->tasks_executed.Get(), 100u);
   EXPECT_EQ(metrics->apply_ns.Snapshot().count, 100u);
   EXPECT_EQ(metrics->queue_depth.Get(), 0);
+}
+
+// Window events carry their (at most two) cells inline, so the continuous
+// window itself is allocation-free once its storage has grown: a small,
+// saturated grid with one tuple per time unit keeps W·T tuples active,
+// which bounds the schedule heap, the entry pool and every slice bucket.
+TEST(ZeroAllocationTest, WindowAdvanceAndIngestSteadyStateAllocateNothing) {
+  const int w_size = 4;
+  const int64_t period = 4;
+  ContinuousTensorWindow window({3, 2}, w_size, period);
+  Rng rng(0xa110c7);
+  int64_t events = 0;
+  double net_delta = 0.0;
+  std::uint64_t counted = 0;
+  const int64_t steps = 2000;
+  for (int64_t t = 0; t < steps; ++t) {
+    Tuple tuple;
+    tuple.index = ModeIndex{static_cast<int32_t>(rng.UniformInt(0, 2)),
+                            static_cast<int32_t>(rng.UniformInt(0, 1))};
+    tuple.value = 1.0;
+    tuple.time = t;
+    const std::uint64_t before =
+        g_heap_allocations.load(std::memory_order_relaxed);
+    window.AdvanceTo(t, [&](const WindowDelta& delta) {
+      for (const DeltaCell& cell : delta.cells) net_delta += cell.delta;
+      ++events;
+    });
+    const WindowDelta arrival = window.Ingest(tuple);
+    net_delta += arrival.cells[0].delta;
+    const std::uint64_t after =
+        g_heap_allocations.load(std::memory_order_relaxed);
+    if (t >= 200) counted += after - before;
+  }
+  EXPECT_EQ(counted, 0u);
+  EXPECT_EQ(window.ActiveTupleCount(), w_size * period);
+  // A tuple's W scheduled events fall due one period apart after its
+  // arrival; those due by the last AdvanceTo were applied.
+  int64_t expected_events = 0;
+  for (int k = 1; k <= w_size; ++k) expected_events += steps - k * period;
+  EXPECT_EQ(events, expected_events);
+  EXPECT_EQ(net_delta, static_cast<double>(w_size * period));
 }
 
 // ---------------------------------------------------------------------------
@@ -672,6 +714,21 @@ TEST(SnapshotTest, DuplicateTimeRowCellsSnapshotOnce) {
   WindowDelta slide = MakeSlide(window, 2, 1, 1.0, 2, 5);
   probe.OnEvent(window, slide, state);
   EXPECT_EQ(probe.snapshots_seen, 4);
+}
+
+// ---------------------------------------------------------------------------
+// A window event changes at most two cells (Definition 6); a third is a
+// logic error that must fail loudly, not overflow the inline storage.
+
+TEST(DeltaCellsDeathTest, ThirdCellFailsLoudly) {
+  EXPECT_DEATH(
+      {
+        WindowDelta delta;
+        delta.cells.push_back({ModeIndex{0, 0}, 1.0});
+        delta.cells.push_back({ModeIndex{0, 1}, -1.0});
+        delta.cells.push_back({ModeIndex{0, 2}, 1.0});
+      },
+      "size_ < kCapacity");
 }
 
 // ---------------------------------------------------------------------------

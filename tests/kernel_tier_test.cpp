@@ -106,8 +106,9 @@ TEST(KernelTierTableTest, TierFieldMatchesRequest) {
 // Runs one engine per configuration over the same synthetic stream (warm-up
 // + one-sweep ALS init + live events) and returns the final factors.
 // max_iterations = 1 keeps the ALS stopping rule out of the picture — its
-// fitness evaluations run at the auto tier by design, so an iteration-count
-// dependence on fitness ulps would make bitwise comparisons tier-sensitive.
+// fitness (AlsSweepFitness) is read off the sweep's own Grams at the
+// sweep's tier, so an iteration count hinging on a fitness ulp would make
+// bitwise comparisons tier-sensitive beyond the sweep arithmetic itself.
 std::vector<Matrix> RunEngine(ContinuousCpdOptions options) {
   options.rank = 6;
   options.window_size = 4;

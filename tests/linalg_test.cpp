@@ -1,14 +1,19 @@
 // Unit and property tests for the dense linear algebra substrate.
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cpu_features.h"
 #include "common/random.h"
 #include "core/gram_solve.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "linalg/pseudo_inverse.h"
+#include "linalg/rank_dispatch.h"
 #include "linalg/symmetric_eigen.h"
 
 namespace sns {
@@ -345,6 +350,80 @@ TEST(InPlaceKernelsTest, GramSolverReuseMatchesOneShotSolve) {
     SolveRowAgainstGram(h, b.data(), expected.data());
     solver.Solve(b.data(), x.data());
     for (int i = 0; i < 4; ++i) EXPECT_EQ(x[i], expected[i]);
+  }
+}
+
+// Every kernel tier compiled in and supported by the host.
+std::vector<KernelTier> RunnableTiers() {
+  std::vector<KernelTier> tiers;
+  for (const KernelTier t :
+       {KernelTier::kGeneric, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (KernelTierCompiledIn(t) && KernelTierSupported(t)) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+// Entries of row i of SolveRows' output that differ bitwise from a per-row
+// Solve of the same right-hand side.
+int CountRowMismatches(const GramSolver& solver, const Matrix& b,
+                       const Matrix& x, int64_t i) {
+  std::vector<double> expected(static_cast<size_t>(b.cols()));
+  solver.Solve(b.Row(i), expected.data());
+  int mismatches = 0;
+  for (int64_t r = 0; r < b.cols(); ++r) {
+    if (std::memcmp(x.Row(i) + r, &expected[static_cast<size_t>(r)],
+                    sizeof(double)) != 0) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(GramSolverRowsTest, SolveRowsBitwiseEqualsPerRowSolve) {
+  Rng rng(46);
+  for (const KernelTier tier : RunnableTiers()) {
+    for (int64_t n = 1; n <= 33; ++n) {
+      GramSolver solver;
+      solver.set_kernels(&GetRankKernelTable(0, tier));
+      solver.Factorize(RandomSpd(n, rng, 1.0));
+      // Row counts around the interleaving block, none a multiple of it.
+      for (const int64_t rows : {0, 1, 3, 5, 265}) {
+        SCOPED_TRACE("tier=" + std::string(KernelTierName(tier)) +
+                     " n=" + std::to_string(n) +
+                     " rows=" + std::to_string(rows));
+        const Matrix b = Matrix::RandomNormal(rows, n, rng);
+        Matrix x(rows, n);
+        solver.SolveRows(b, x);
+        int mismatches = 0;
+        for (int64_t i = 0; i < rows; ++i) {
+          mismatches += CountRowMismatches(solver, b, x, i);
+        }
+        EXPECT_EQ(mismatches, 0);
+      }
+    }
+  }
+}
+
+TEST(GramSolverRowsTest, SolveRowsOnSingularGramTakesPinvPathBitwise) {
+  Rng rng(48);
+  for (const KernelTier tier : RunnableTiers()) {
+    SCOPED_TRACE(KernelTierName(tier));
+    const int64_t n = 7;
+    // A zero last row/column: the Cholesky pivot vanishes, so the solver
+    // falls back to H†, which maps every right-hand side to a zero last
+    // component.
+    Matrix h = RandomSpd(n, rng, 1.0);
+    for (int64_t k = 0; k < n; ++k) h(n - 1, k) = h(k, n - 1) = 0.0;
+    GramSolver solver;
+    solver.set_kernels(&GetRankKernelTable(0, tier));
+    solver.Factorize(h);
+    const Matrix b = Matrix::RandomNormal(9, n, rng);
+    Matrix x(9, n);
+    solver.SolveRows(b, x);
+    for (int64_t i = 0; i < b.rows(); ++i) {
+      EXPECT_EQ(CountRowMismatches(solver, b, x, i), 0) << "row " << i;
+      EXPECT_NEAR(x(i, n - 1), 0.0, 1e-12) << "row " << i;
+    }
   }
 }
 
