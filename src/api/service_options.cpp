@@ -6,7 +6,7 @@ namespace sns {
 
 Status ServiceOptions::Validate() const {
   if (shards < 0) {
-    return Status::InvalidArgument("shards must be >= 0 (0 = inline)");
+    return Status::InvalidArgument("shards must be >= 0 (0 = the caller lane)");
   }
   if (max_queue_depth < 1) {
     return Status::InvalidArgument("max_queue_depth must be >= 1");

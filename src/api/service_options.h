@@ -2,12 +2,13 @@
 // shards execute stream operations, and what happens when a shard's mailbox
 // is full.
 //
-// The default (shards = 0) is the degenerate inline configuration: every
-// entry point executes synchronously on the caller's thread, exactly as the
-// pre-runtime service did. With shards >= 1 the service spawns that many
-// worker threads; each stream is pinned to one shard at creation and every
+// The default (shards = 0) is the caller lane: the service's executor
+// spawns no thread and every operation runs on the calling thread before
+// the call returns. With shards >= 1 the service spawns that many worker
+// threads; each stream is pinned to one shard at creation and every
 // operation on it runs there, so per-stream order — and therefore factor
-// state — is bitwise identical to the inline path.
+// state — is bitwise identical to the caller lane. Both run the same code
+// path: one task per operation, the same sequence tokens and telemetry.
 
 #ifndef SLICENSTITCH_API_SERVICE_OPTIONS_H_
 #define SLICENSTITCH_API_SERVICE_OPTIONS_H_
@@ -52,8 +53,8 @@ struct MetricsOptions {
 
 /// Runtime configuration of an SnsService.
 struct ServiceOptions {
-  /// Worker shards executing stream operations. 0 = inline synchronous
-  /// execution on the caller's thread (no runtime threads at all).
+  /// Worker shards executing stream operations. 0 = the caller lane:
+  /// synchronous execution on the caller's thread (no runtime threads).
   int shards = 0;
 
   /// Policy when an owning shard's mailbox is at max_queue_depth.

@@ -1,7 +1,6 @@
 #include "api/sns_service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <thread>
@@ -266,36 +265,16 @@ Status SnsService::ValidateAdmission(const StreamEntry& entry,
   // Validated against the entry's immutable schema copy — never the handle,
   // which the owning shard may be rebuilding — so admission is safe from
   // any producer thread. Whole-batch: a refused batch changes nothing.
-  const size_t arity = entry.mode_dims.size();
-  for (size_t n = 0; n < tuples.size(); ++n) {
-    const Tuple& tuple = tuples[n];
-    if (static_cast<size_t>(tuple.index.size()) != arity) {
-      return Status::InvalidArgument(
-          "tuple " + std::to_string(n) + " has " +
-          std::to_string(tuple.index.size()) + " mode indices; stream '" +
-          entry.name + "' has " + std::to_string(arity) + " non-time modes");
-    }
-    for (size_t m = 0; m < arity; ++m) {
-      if (tuple.index[m] < 0 || tuple.index[m] >= entry.mode_dims[m]) {
-        return Status::InvalidArgument(
-            "tuple " + std::to_string(n) + " index " +
-            std::to_string(tuple.index[m]) + " is outside mode " +
-            std::to_string(m) + " of size " +
-            std::to_string(entry.mode_dims[m]));
-      }
-    }
-    if (!std::isfinite(tuple.value)) {
-      return Status::InvalidArgument(
-          "tuple " + std::to_string(n) +
-          " carries a non-finite value; stream values must be finite");
-    }
+  Status status = internal::CheckTupleSchema(tuples, entry.mode_dims);
+  if (!status.ok() && entry.stream_metrics != nullptr) {
+    entry.stream_metrics->admission_rejects.Add(1);
   }
-  return Status::OK();
+  return status;
 }
 
 // --- Construction / moves -------------------------------------------------
 
-SnsService::SnsService() : registry_(std::make_unique<Registry>()) {}
+SnsService::SnsService() : SnsService(ServiceOptions()) {}
 
 SnsService::SnsService(const ServiceOptions& options)
     : options_(options), registry_(std::make_unique<Registry>()) {
@@ -305,16 +284,14 @@ SnsService::SnsService(const ServiceOptions& options)
     SNS_CHECK(valid.ok());
   }
   if (options_.metrics.enabled) {
-    // One shard domain per worker shard; the inline service records into a
-    // single domain 0. Allocated before the executor so shard threads can
-    // record from their first task.
+    // One shard domain per executor lane (the caller lane records into
+    // domain 0). Allocated before the executor so shard threads can record
+    // from their first task.
     metrics_ = std::make_unique<telemetry::MetricsRegistry>(
         std::max(1, options_.shards));
   }
-  if (options_.shards > 0) {
-    executor_ = std::make_unique<ShardedExecutor>(
-        options_.shards, options_.max_queue_depth, metrics_.get());
-  }
+  executor_ = std::make_unique<ShardedExecutor>(
+      options_.shards, options_.max_queue_depth, metrics_.get());
   StartExporter();
 }
 
@@ -323,35 +300,27 @@ StatusOr<SnsService> SnsService::Create(const ServiceOptions& options) {
   return SnsService(options);
 }
 
-SnsService::SnsService(SnsService&& other)
-    : options_(other.options_),
-      registry_(std::move(other.registry_)),
-      metrics_(std::move(other.metrics_)),
-      executor_(std::move(other.executor_)),
-      exporter_(std::move(other.exporter_)) {
-  // The exporter thread and all instrumentation sites hold raw pointers
-  // into the registry / metrics / executor heap objects, which the
-  // unique_ptrs above transfer without relocating — so the thread keeps
-  // running across the move untouched.
-  // Leave `other` a valid empty inline service, not a null-registry husk.
-  other.options_ = ServiceOptions();
-  other.registry_ = std::make_unique<Registry>();
+// The exporter thread and all instrumentation sites hold raw pointers into
+// the registry / metrics / executor heap objects, which swapping the
+// unique_ptrs transfers without relocating — so a running exporter thread
+// keeps running across a move untouched.
+void SnsService::Swap(SnsService& other) {
+  std::swap(options_, other.options_);
+  std::swap(registry_, other.registry_);
+  std::swap(metrics_, other.metrics_);
+  std::swap(executor_, other.executor_);
+  std::swap(exporter_, other.exporter_);
 }
+
+// `other` is left holding the fresh empty caller-lane service built here.
+SnsService::SnsService(SnsService&& other) : SnsService() { Swap(other); }
 
 SnsService& SnsService::operator=(SnsService&& other) {
   if (this != &other) {
-    // Stop our own exporter before the executor it submits to, then
-    // quiesce and join our own runtime before the registry its tasks point
-    // into is replaced.
-    StopExporter();
-    if (executor_ != nullptr) executor_->Shutdown();
-    exporter_ = std::move(other.exporter_);
-    executor_ = std::move(other.executor_);
-    metrics_ = std::move(other.metrics_);
-    registry_ = std::move(other.registry_);
-    options_ = other.options_;
-    other.options_ = ServiceOptions();
-    other.registry_ = std::make_unique<Registry>();
+    // Our old state leaves through `taken`, whose destructor stops its
+    // exporter and joins its shards before its registry dies.
+    SnsService taken(std::move(other));
+    Swap(taken);
   }
   return *this;
 }
@@ -361,7 +330,7 @@ SnsService::~SnsService() {
   // shard threads while every stream handle is still alive; only then may
   // the registry (and the handles in it) die.
   StopExporter();
-  if (executor_ != nullptr) executor_->Shutdown();
+  executor_->Shutdown();
 }
 
 // --- Pool management ------------------------------------------------------
@@ -389,7 +358,7 @@ StatusOr<StreamHandle*> SnsService::CreateStream(
   entry->handle = std::make_unique<StreamHandle>(std::move(handle).value());
   entry->name = entry->handle->name();
   entry->mode_dims = entry->handle->mode_dims();
-  if (executor_ != nullptr) entry->shard = executor_->AssignShard();
+  entry->shard = executor_->AssignShard();
   AttachMetrics(*entry);
   StreamHandle* raw = entry->handle.get();
   registry_->streams.emplace(std::move(name), std::move(entry));
@@ -398,9 +367,8 @@ StatusOr<StreamHandle*> SnsService::CreateStream(
 
 void SnsService::AttachMetrics(StreamEntry& entry) {
   if (metrics_ == nullptr) return;
-  const int domain = entry.shard < 0 ? 0 : entry.shard;
-  entry.shard_metrics = &metrics_->shard(domain);
-  entry.stream_metrics = metrics_->RegisterStream(entry.name, domain);
+  entry.shard_metrics = &metrics_->shard(entry.shard);
+  entry.stream_metrics = metrics_->RegisterStream(entry.name, entry.shard);
 }
 
 SnsService::StreamEntry* SnsService::ResolveEntry(
@@ -421,24 +389,18 @@ const StreamHandle* SnsService::Find(std::string_view name) const {
 }
 
 Status SnsService::Remove(std::string_view name) {
-  // Two-phase: read the pinned shard under the lock, drain unlocked, then
-  // re-resolve before erasing — never touching the entry outside the lock,
-  // so a concurrent Remove of the same name safely loses with NotFound.
-  int shard = -1;
-  {
-    std::lock_guard<std::mutex> lock(registry_->mu);
-    auto it = registry_->streams.find(name);
-    if (it == registry_->streams.end()) return NoSuchStream(name);
-    shard = it->second->shard;
-  }
+  // Under the exporter's tick lock no OnMetrics delivery for this stream is
+  // in flight or can be issued until the erase, and concurrent Removes are
+  // serialized, so the entry resolved here stays valid until erased.
+  std::lock_guard<std::mutex> tick(registry_->export_tick_mu);
+  StreamEntry* entry = ResolveEntry(name);
+  if (entry == nullptr) return NoSuchStream(name);
   // Flush the owning shard so no in-flight task still references the
   // handle we are about to destroy. (Submissions racing with Remove are a
   // caller error — see the class comment.)
-  if (executor_ != nullptr && shard >= 0) executor_->DrainShard(shard);
+  executor_->DrainShard(entry->shard);
   std::lock_guard<std::mutex> lock(registry_->mu);
-  auto it = registry_->streams.find(name);
-  if (it == registry_->streams.end()) return NoSuchStream(name);
-  registry_->streams.erase(it);
+  registry_->streams.erase(registry_->streams.find(name));
   return Status::OK();
 }
 
@@ -465,45 +427,11 @@ Ticket SnsService::IngestAsync(std::string_view stream,
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return Ticket::Completed(NoSuchStream(stream));
   Status admit = ValidateAdmission(*entry, tuples);
-  if (!admit.ok()) {
-    if (entry->stream_metrics != nullptr) {
-      entry->stream_metrics->admission_rejects.Add(1);
-    }
-    return Ticket::Completed(std::move(admit));
-  }
-  if (executor_ == nullptr) {
-    // Inline: applied synchronously before returning, so the span needs no
-    // owning copy.
-    return SubmitOp(*entry, [tuples](StreamEntry& e, uint64_t seq) {
-      return ExecuteMutation(e, seq, durability::JournalOpType::kIngest, 0,
-                             tuples);
-    });
-  }
+  if (!admit.ok()) return Ticket::Completed(std::move(admit));
   return SubmitOp(
       *entry,
       [batch = std::vector<Tuple>(tuples.begin(), tuples.end())](
           StreamEntry& e, uint64_t seq) {
-        return ExecuteMutation(e, seq, durability::JournalOpType::kIngest, 0,
-                               batch);
-      },
-      /*force_block=*/false, deadline);
-}
-
-Ticket SnsService::IngestAsync(std::string_view stream,
-                               std::vector<Tuple> tuples,
-                               std::optional<std::chrono::milliseconds> deadline) {
-  StreamEntry* entry = ResolveEntry(stream);
-  if (entry == nullptr) return Ticket::Completed(NoSuchStream(stream));
-  Status admit = ValidateAdmission(*entry, tuples);
-  if (!admit.ok()) {
-    if (entry->stream_metrics != nullptr) {
-      entry->stream_metrics->admission_rejects.Add(1);
-    }
-    return Ticket::Completed(std::move(admit));
-  }
-  return SubmitOp(
-      *entry,
-      [batch = std::move(tuples)](StreamEntry& e, uint64_t seq) {
         return ExecuteMutation(e, seq, durability::JournalOpType::kIngest, 0,
                                batch);
       },
@@ -524,63 +452,38 @@ Ticket SnsService::AdvanceToAsync(std::string_view stream, int64_t time,
 }
 
 // --- Synchronous routed ingestion -----------------------------------------
-// Ticketed ops the caller immediately waits on: the span stays alive for
-// the whole call, so closures capture it by value (a span copy, not the
-// tuples) instead of copying the batch like the async forms must.
 
-Status SnsService::Warmup(std::string_view stream,
-                          std::span<const Tuple> tuples) {
-  StreamEntry* entry = ResolveEntry(stream);
-  if (entry == nullptr) return NoSuchStream(stream);
-  Status admit = ValidateAdmission(*entry, tuples);
-  if (!admit.ok()) {
-    if (entry->stream_metrics != nullptr) {
-      entry->stream_metrics->admission_rejects.Add(1);
-    }
-    return admit;
-  }
+Status SnsService::ApplyNow(StreamEntry& entry, durability::JournalOpType op,
+                            int64_t time, std::span<const Tuple> tuples) {
   return SubmitOp(
-             *entry,
-             [tuples](StreamEntry& e, uint64_t seq) {
-               return ExecuteMutation(
-                   e, seq, durability::JournalOpType::kWarmup, 0, tuples);
+             entry,
+             [op, time, tuples](StreamEntry& e, uint64_t seq) {
+               return ExecuteMutation(e, seq, op, time, tuples);
              },
              /*force_block=*/true)
       .Wait();
 }
 
+Status SnsService::Warmup(std::string_view stream,
+                          std::span<const Tuple> tuples) {
+  StreamEntry* entry = ResolveEntry(stream);
+  if (entry == nullptr) return NoSuchStream(stream);
+  SNS_RETURN_IF_ERROR(ValidateAdmission(*entry, tuples));
+  return ApplyNow(*entry, durability::JournalOpType::kWarmup, 0, tuples);
+}
+
 Status SnsService::Initialize(std::string_view stream) {
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return NoSuchStream(stream);
-  return SubmitOp(
-             *entry,
-             [](StreamEntry& e, uint64_t seq) {
-               return ExecuteMutation(
-                   e, seq, durability::JournalOpType::kInitialize, 0, {});
-             },
-             /*force_block=*/true)
-      .Wait();
+  return ApplyNow(*entry, durability::JournalOpType::kInitialize, 0, {});
 }
 
 Status SnsService::Ingest(std::string_view stream,
                           std::span<const Tuple> tuples) {
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return NoSuchStream(stream);
-  Status admit = ValidateAdmission(*entry, tuples);
-  if (!admit.ok()) {
-    if (entry->stream_metrics != nullptr) {
-      entry->stream_metrics->admission_rejects.Add(1);
-    }
-    return admit;
-  }
-  return SubmitOp(
-             *entry,
-             [tuples](StreamEntry& e, uint64_t seq) {
-               return ExecuteMutation(
-                   e, seq, durability::JournalOpType::kIngest, 0, tuples);
-             },
-             /*force_block=*/true)
-      .Wait();
+  SNS_RETURN_IF_ERROR(ValidateAdmission(*entry, tuples));
+  return ApplyNow(*entry, durability::JournalOpType::kIngest, 0, tuples);
 }
 
 Status SnsService::Ingest(std::string_view stream, const Tuple& tuple) {
@@ -590,14 +493,7 @@ Status SnsService::Ingest(std::string_view stream, const Tuple& tuple) {
 Status SnsService::AdvanceTo(std::string_view stream, int64_t time) {
   StreamEntry* entry = ResolveEntry(stream);
   if (entry == nullptr) return NoSuchStream(stream);
-  return SubmitOp(
-             *entry,
-             [time](StreamEntry& e, uint64_t seq) {
-               return ExecuteMutation(
-                   e, seq, durability::JournalOpType::kAdvanceTo, time, {});
-             },
-             /*force_block=*/true)
-      .Wait();
+  return ApplyNow(*entry, durability::JournalOpType::kAdvanceTo, time, {});
 }
 
 Status SnsService::AdvanceAllTo(int64_t time) {
@@ -622,14 +518,7 @@ Status SnsService::AdvanceAllTo(int64_t time) {
         *entry, [](StreamHandle& handle) { return handle.Stats(); });
     if (!stats.has_ingested || stats.last_time > time) continue;
     const Status status =
-        SubmitOp(
-            *entry,
-            [time](StreamEntry& e, uint64_t seq) {
-              return ExecuteMutation(
-                  e, seq, durability::JournalOpType::kAdvanceTo, time, {});
-            },
-            /*force_block=*/true)
-            .Wait();
+        ApplyNow(*entry, durability::JournalOpType::kAdvanceTo, time, {});
     // The horizon guard above rules out engine-side failures, but the
     // write-ahead journal append can still fail (disk full, quarantined or
     // failed stream): surface the first such error after attempting every
@@ -711,14 +600,14 @@ StatusOr<telemetry::ServiceMetricsSnapshot> SnsService::Metrics() {
         "metrics are disabled; create the service with "
         "ServiceOptions::metrics.enabled");
   }
-  if (executor_ != nullptr &&
-      !registry_->shutdown.load(std::memory_order_acquire)) {
+  if (!executor_->shut_down()) {
     // Sequence barrier: one blocking no-op task per shard. Each shard's
     // mailbox is FIFO, so once the barrier runs, every operation issued to
     // that shard before this call has been applied — the same consistency
     // the typed queries give, without stalling the other shards behind a
     // full Drain. A kClosed push (shutdown racing in) degrades gracefully:
-    // the shard is quiescing anyway.
+    // the shard is quiescing anyway. The caller lane has no shard and
+    // needs no barrier: its operations applied before their calls returned.
     std::vector<std::shared_ptr<internal::TicketRecord>> barriers;
     barriers.reserve(static_cast<size_t>(executor_->num_shards()));
     for (int shard = 0; shard < executor_->num_shards(); ++shard) {
@@ -774,18 +663,20 @@ void SnsService::StartExporter() {
           state->file.reset();
         }
       }
-      // Per-stream OnMetrics delivery on the owning shard. Non-blocking
-      // push: a shard under backpressure simply skips this tick rather
-      // than wedging the exporter (the next interval retries). kClosed
-      // means shutdown is racing in — drop likewise. Inline services have
-      // no shard thread, so delivery happens right here on the exporter
-      // thread (documented in EventSink::OnMetrics).
+      // Per-stream OnMetrics delivery on the stream's lane: the owning
+      // shard, or the exporter thread itself on the caller lane (documented
+      // in EventSink::OnMetrics). Non-blocking push: a shard under
+      // backpressure simply skips this tick rather than wedging the
+      // exporter (the next interval retries). kClosed means shutdown is
+      // racing in — drop likewise. The tick lock keeps Remove from
+      // destroying a stream between collection and delivery.
       struct Delivery {
         StreamHandle* handle;
         int shard;
         const telemetry::StreamMetricsSnapshot* sample;
       };
       std::vector<Delivery> deliveries;
+      std::lock_guard<std::mutex> tick(registry->export_tick_mu);
       {
         std::lock_guard<std::mutex> lock(registry->mu);
         for (const telemetry::StreamMetricsSnapshot& sample :
@@ -797,17 +688,12 @@ void SnsService::StartExporter() {
         }
       }
       for (const Delivery& delivery : deliveries) {
-        if (executor != nullptr && delivery.shard >= 0) {
-          StreamHandle* handle = delivery.handle;
-          (void)executor->Submit(
-              delivery.shard,
-              Task([handle, sample = *delivery.sample] {
-                handle->NotifyMetrics(sample);
-              }),
-              /*block=*/false);
-        } else {
-          delivery.handle->NotifyMetrics(*delivery.sample);
-        }
+        StreamHandle* handle = delivery.handle;
+        (void)executor->Submit(delivery.shard,
+                               Task([handle, sample = *delivery.sample] {
+                                 handle->NotifyMetrics(sample);
+                               }),
+                               /*block=*/false);
       }
     }
   });
@@ -854,7 +740,7 @@ StatusOr<StreamHealthInfo> SnsService::Health(std::string_view stream) const {
 Status SnsService::EnableAutoRecovery(std::string_view stream,
                                       const std::string& checkpoint_path,
                                       const RecoveryPolicy& policy) {
-  if (registry_->shutdown.load(std::memory_order_acquire)) {
+  if (executor_->shut_down()) {
     return Status::FailedPrecondition("service is shut down");
   }
   StreamEntry* entry = ResolveEntry(stream);
@@ -877,9 +763,7 @@ Status SnsService::EnableAutoRecovery(std::string_view stream,
     if (!probe.ok()) return probe.status();
   }
   // Quiesce the owning shard so the config attaches at a sequence point.
-  if (executor_ != nullptr && entry->shard >= 0) {
-    executor_->DrainShard(entry->shard);
-  }
+  executor_->DrainShard(entry->shard);
   auto cfg = std::make_unique<AutoRecoveryConfig>();
   cfg->checkpoint_path = checkpoint_path;
   cfg->journal_directory = entry->journal->directory();
@@ -893,7 +777,7 @@ Status SnsService::EnableAutoRecovery(std::string_view stream,
 
 Status SnsService::Checkpoint(std::string_view stream,
                               serial::ByteSink& sink) {
-  if (registry_->shutdown.load(std::memory_order_acquire)) {
+  if (executor_->shut_down()) {
     return Status::FailedPrecondition(
         "service is shut down; checkpoint streams before Shutdown");
   }
@@ -951,7 +835,7 @@ Status SnsService::CheckpointToFile(std::string_view stream,
 }
 
 StatusOr<StreamHandle*> SnsService::Restore(serial::ByteSource& source) {
-  if (registry_->shutdown.load(std::memory_order_acquire)) {
+  if (executor_->shut_down()) {
     return Status::FailedPrecondition("service is shut down");
   }
   auto restored = durability::ReadStreamCheckpoint(source);
@@ -968,7 +852,7 @@ StatusOr<StreamHandle*> SnsService::Restore(serial::ByteSource& source) {
       std::move(restored).value().handle);
   entry->name = entry->handle->name();
   entry->mode_dims = entry->handle->mode_dims();
-  if (executor_ != nullptr) entry->shard = executor_->AssignShard();
+  entry->shard = executor_->AssignShard();
   AttachMetrics(*entry);
   entry->issued_seq = sequence;
   entry->applied_seq.store(sequence, std::memory_order_release);
@@ -985,7 +869,7 @@ Status SnsService::EnableJournal(std::string_view stream,
 Status SnsService::EnableJournal(std::string_view stream,
                                  const std::string& directory,
                                  const durability::JournalOptions& options) {
-  if (registry_->shutdown.load(std::memory_order_acquire)) {
+  if (executor_->shut_down()) {
     return Status::FailedPrecondition("service is shut down");
   }
   StreamEntry* entry = ResolveEntry(stream);
@@ -1007,25 +891,20 @@ Status SnsService::EnableJournal(std::string_view stream,
   // Quiesce the owning shard so the journal attaches at a sequence point:
   // every in-flight ticket lands un-journaled (covered by the caller's
   // checkpoint), every later one is journaled.
-  if (executor_ != nullptr && entry->shard >= 0) {
-    executor_->DrainShard(entry->shard);
-  }
+  executor_->DrainShard(entry->shard);
   entry->journal = std::move(writer).value();
   return Status::OK();
 }
 
 // --- Runtime lifecycle ----------------------------------------------------
 
-void SnsService::Drain() {
-  if (executor_ != nullptr) executor_->Drain();
-}
+void SnsService::Drain() { executor_->Drain(); }
 
 void SnsService::Shutdown() {
   // The exporter submits OnMetrics tasks; stop it before the executor it
   // submits to goes away.
   StopExporter();
-  registry_->shutdown.store(true, std::memory_order_release);
-  if (executor_ != nullptr) executor_->Shutdown();
+  executor_->Shutdown();
 }
 
 }  // namespace sns

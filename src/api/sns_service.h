@@ -8,15 +8,17 @@
 // its own schema, options, and engine — and routes ingestion and queries by
 // stream id.
 //
-// Execution model (src/runtime/): the service spawns ServiceOptions::shards
-// worker shards, each a thread draining a bounded MPSC mailbox. Every
-// stream is pinned to exactly one shard at creation (round-robin), and
-// every operation on the stream executes on that shard's thread in FIFO
-// order — so per-stream event order, and therefore every factor value, is
-// bitwise identical to synchronous execution, while distinct streams
-// proceed in parallel. shards = 0 (the default) is the degenerate inline
-// configuration: no threads, every call runs synchronously on the caller,
-// exactly the pre-runtime behavior.
+// Execution model (src/runtime/): every operation on a stream runs as a
+// task on the stream's lane of the service's ShardedExecutor. With
+// ServiceOptions::shards >= 1 the lanes are worker shards, each a thread
+// draining a bounded MPSC mailbox; every stream is pinned to exactly one
+// shard at creation (round-robin) and its operations execute on that
+// shard's thread in FIFO order — so per-stream event order, and therefore
+// every factor value, is bitwise identical to synchronous execution, while
+// distinct streams proceed in parallel. shards = 0 (the default) leaves one
+// lane, the caller lane: no threads, each task runs on the calling thread
+// before the call returns. The code path, sequence tokens and per-task
+// telemetry are the same on both kinds of lane.
 //
 // Entry points:
 //   - IngestAsync / AdvanceToAsync enqueue onto the owning shard and return
@@ -25,7 +27,8 @@
 //     ticket (StatusCode::kResourceExhausted), per BackpressurePolicy; an
 //     optional deadline bounds the blocking wait, completing the ticket
 //     with kDeadlineExceeded (nothing enqueued, no token consumed) when a
-//     wedged shard cannot admit the operation in time.
+//     wedged shard cannot admit the operation in time. The caller lane has
+//     no mailbox: it is never full, so neither policy nor deadline fires.
 //   - The synchronous forms (Warmup, Initialize, Ingest, AdvanceTo) and the
 //     typed queries (Reconstruct, TopK, ComponentActivity, RunningFitness,
 //     Stats, generic Query) execute as request/reply hops on the owning
@@ -38,8 +41,8 @@
 //   - Drain() flushes every mailbox; Shutdown() drains, stops the shards,
 //     and joins their threads. The destructor shuts down before any handle
 //     is destroyed, so no task ever touches a dead stream. After Shutdown,
-//     mutations fail (kFailedPrecondition) and queries execute inline —
-//     the threads are gone, so inline reads are race-free.
+//     mutations fail (kFailedPrecondition) and queries run directly on the
+//     caller — the threads are gone, so those reads are race-free.
 //
 // Failure containment (api/stream_health.h): every stream carries a health
 // state. A failed write-ahead append quarantines the stream — mutations
@@ -65,8 +68,9 @@
 // merged, sequence-consistent ServiceMetricsSnapshot (every shard is
 // drained of already-issued work first). metrics.export_interval_ms > 0
 // additionally starts an exporter thread that periodically delivers an
-// OnMetrics event to every stream's sinks on its owning shard and, with
-// metrics.json_path set, appends one JSON line per interval. Disabled
+// OnMetrics event to every stream's sinks on its lane (the exporter thread
+// itself on the caller lane) and, with metrics.json_path set, appends one
+// JSON line per interval. Remove waits for an in-flight delivery. Disabled
 // (default), the instrumentation sites cost one null-pointer test each and
 // factor state stays bitwise identical either way (pinned by tests).
 //
@@ -77,14 +81,16 @@
 // written. Chronology violations are detected at apply time (they depend
 // on stream state) and are journaled like any acknowledged request.
 //
-// Thread safety (sharded mode): all entry points may be called from any
+// Thread safety (shards >= 1): all entry points may be called from any
 // number of threads concurrently, except that CreateStream / Remove /
 // AdvanceAllTo / Shutdown must not race with submissions to the affected
 // streams, and Find()'s raw StreamHandle* must not be dereferenced while
-// shards are live — route access through the service instead. Handles live
-// behind stable allocations: pointers returned by CreateStream/Find stay
-// valid until that stream is removed, across pool mutations and moves of
-// the service itself.
+// shards are live — route access through the service instead. On the
+// caller lane (shards = 0) each operation runs on the thread that calls
+// it, so drive a stream from one thread at a time. Handles live behind
+// stable allocations: pointers returned by CreateStream/Find stay valid
+// until that stream is removed, across pool mutations and moves of the
+// service itself.
 
 #ifndef SLICENSTITCH_API_SNS_SERVICE_H_
 #define SLICENSTITCH_API_SNS_SERVICE_H_
@@ -130,7 +136,8 @@ enum class JournalOpType : uint8_t;
 /// and shard threads are owned by the service.
 class SnsService {
  public:
-  /// Inline service (shards = 0): no runtime threads, synchronous calls.
+  /// Caller-lane service (shards = 0): no runtime threads, synchronous
+  /// calls.
   SnsService();
 
   /// Service with an explicit runtime configuration. SNS_CHECK-fails on
@@ -140,9 +147,9 @@ class SnsService {
   /// Validating factory form of the options constructor.
   static StatusOr<SnsService> Create(const ServiceOptions& options);
 
-  /// Moves leave `other` as a valid empty inline service (fresh registry,
-  /// no runtime), so accidental use of a moved-from service degrades to
-  /// "no streams" instead of undefined behavior.
+  /// Moves leave `other` as a valid empty caller-lane service (fresh
+  /// registry, default options), so accidental use of a moved-from service
+  /// degrades to "no streams" instead of undefined behavior.
   SnsService(SnsService&& other);
   SnsService& operator=(SnsService&& other);
 
@@ -151,7 +158,7 @@ class SnsService {
   ~SnsService();
 
   const ServiceOptions& service_options() const { return options_; }
-  /// Worker shards executing stream operations (0 = inline).
+  /// Worker shards executing stream operations (0 = the caller lane).
   int shards() const { return options_.shards; }
 
   // --- Pool management --------------------------------------------------
@@ -164,14 +171,16 @@ class SnsService {
                                        std::vector<int64_t> mode_dims,
                                        const ContinuousCpdOptions& options);
 
-  /// The stream registered under `name`, or nullptr. In sharded mode the
+  /// The stream registered under `name`, or nullptr. With shards >= 1 the
   /// raw handle must not be dereferenced while shards are live (its engine
   /// runs on the owning shard's thread); route through the service instead.
   StreamHandle* Find(std::string_view name);
   const StreamHandle* Find(std::string_view name) const;
 
   /// Destroys one stream (its handle pointers become invalid) after
-  /// draining the owning shard. Must not race with submissions to it.
+  /// draining the owning shard. Waits for an in-flight periodic OnMetrics
+  /// delivery; none reaches the stream after Remove returns. Must not race
+  /// with submissions to it.
   Status Remove(std::string_view name);
 
   /// Registered stream names, sorted.
@@ -188,20 +197,16 @@ class SnsService {
   // the call waits for room — bounded by `deadline` when one is given: a
   // shard still full at the deadline completes the ticket with
   // kDeadlineExceeded, enqueueing nothing and consuming no token, so the
-  // stream is left exactly as if the call never happened. (Inline services
-  // have no queue; deadlines never fire there.) Unknown streams, hostile
-  // input (admission control), unhealthy streams, and a shut-down service
-  // also complete immediately with their typed status.
+  // stream is left exactly as if the call never happened. (The caller lane
+  // has no queue; the operation is applied before the call returns and
+  // deadlines never fire there.) Unknown streams, hostile input (admission
+  // control), unhealthy streams, and a shut-down service also complete
+  // immediately with their typed status.
 
   /// Processes one chronological batch of live tuples (copied into the
   /// task). Semantics of the applied operation match StreamHandle::Ingest.
   Ticket IngestAsync(
       std::string_view stream, std::span<const Tuple> tuples,
-      std::optional<std::chrono::milliseconds> deadline = std::nullopt);
-
-  /// Move-in form: avoids copying the batch.
-  Ticket IngestAsync(
-      std::string_view stream, std::vector<Tuple> tuples,
       std::optional<std::chrono::milliseconds> deadline = std::nullopt);
 
   /// Drains scheduled window events due at or before `time`.
@@ -357,13 +362,13 @@ class SnsService {
   // --- Runtime lifecycle ------------------------------------------------
 
   /// Blocks until every accepted task on every shard has executed. With
-  /// producers paused, all issued tickets are done afterwards. No-op
-  /// inline.
+  /// producers paused, all issued tickets are done afterwards. No-op on
+  /// the caller lane.
   void Drain();
 
   /// Drains, stops accepting mutations, and joins every shard thread.
   /// Idempotent. Afterwards mutations fail with kFailedPrecondition and
-  /// queries execute inline on the caller.
+  /// queries run directly on the caller.
   void Shutdown();
 
  private:
@@ -379,7 +384,7 @@ class SnsService {
     ~StreamEntry();
 
     std::unique_ptr<StreamHandle> handle;
-    int shard = -1;  // Pinned owning shard; -1 inline.
+    int shard = 0;  // Pinned executor lane.
     std::mutex submit_mu;    // Serializes ticket issue + enqueue.
     uint64_t issued_seq = 0;  // Guarded by submit_mu.
     std::atomic<uint64_t> applied_seq{0};  // Written on the owning shard.
@@ -416,12 +421,13 @@ class SnsService {
   /// The stream registry, heap-allocated behind the service so shard tasks
   /// and returned handle pointers survive service moves. The map keeps
   /// names sorted for free; unique_ptr values keep entry addresses stable.
-  /// The shutdown flag lives here (not on the service) so it stays
-  /// lock-free-readable yet movable with the pool.
   struct Registry {
     mutable std::mutex mu;
     std::map<std::string, std::unique_ptr<StreamEntry>, std::less<>> streams;
-    std::atomic<bool> shutdown{false};
+    /// Held by the periodic exporter across one tick's collect + deliver,
+    /// and by Remove across drain + erase, so no OnMetrics delivery reaches
+    /// a stream once Remove returns. Taken before `mu`, never after.
+    std::mutex export_tick_mu;
   };
 
   StreamEntry* ResolveEntry(std::string_view name) const;
@@ -440,17 +446,19 @@ class SnsService {
   static Status HealthGate(const StreamEntry& entry);
 
   /// Hostile-input admission control: validates a batch against the
-  /// entry's immutable schema copy (arity, coordinate range, finiteness).
-  /// Violations are kInvalidArgument and happen BEFORE a token is issued,
-  /// so nothing is journaled. Chronology is apply-time (state-dependent).
+  /// entry's immutable schema copy (arity, coordinate range, finiteness)
+  /// and counts a refusal in the stream's admission_rejects. Violations are
+  /// kInvalidArgument and happen BEFORE a token is issued, so nothing is
+  /// journaled. Chronology is apply-time (state-dependent).
   static Status ValidateAdmission(const StreamEntry& entry,
                                   std::span<const Tuple> tuples);
 
   /// Issues a ticket for `op(StreamEntry&, uint64_t seq) -> Status` and
-  /// enqueues it on the owning shard (or runs it inline). The only entry
-  /// point that consumes sequence tokens; ops receive their token so they
-  /// can journal write-ahead before applying. Honors BackpressurePolicy
-  /// unless `force_block` — the synchronous mutation forms, whose callers
+  /// submits it to the stream's lane: enqueued on the owning shard, or run
+  /// before returning on the caller lane. The only entry point that
+  /// consumes sequence tokens; ops receive their token so they can journal
+  /// write-ahead before applying. Honors BackpressurePolicy unless
+  /// `force_block` — the synchronous mutation forms, whose callers
   /// self-throttle by waiting on the ticket anyway. A rejected submission
   /// (health gate / backpressure / deadline / shutdown) consumes no token
   /// and journals nothing, so tokens and journal records stay 1:1.
@@ -458,6 +466,12 @@ class SnsService {
   Ticket SubmitOp(
       StreamEntry& entry, Op op, bool force_block = false,
       std::optional<std::chrono::milliseconds> deadline = std::nullopt);
+
+  /// The synchronous mutation forms: one ticketed ExecuteMutation, always
+  /// blocking for room, waited on before returning. The span stays alive
+  /// for the whole call, so the task captures it instead of a copy.
+  Status ApplyNow(StreamEntry& entry, durability::JournalOpType op,
+                  int64_t time, std::span<const Tuple> tuples);
 
   /// The body every ticketed mutation runs on the owning shard: health
   /// check, write-ahead journal append (with quarantine + auto-recovery on
@@ -492,10 +506,10 @@ class SnsService {
   static void SetHealth(StreamEntry& entry, StreamHealth to,
                         const Status& cause, int attempt);
 
-  /// Blocking request/reply hop: runs `fn(StreamHandle&) -> R` on the
-  /// owning shard and returns R. Always blocks for mailbox room; falls back
-  /// to inline execution when the runtime is shut down (threads gone) or
-  /// absent.
+  /// Blocking request/reply hop: runs `fn(StreamHandle&) -> R` as a task
+  /// on the stream's lane (the owning shard, or the caller lane) and
+  /// returns R. Always blocks for mailbox room; once the executor is shut
+  /// down (threads gone) `fn` runs directly on the caller.
   template <typename Fn>
   auto RunOnShard(StreamEntry& entry, Fn fn)
       -> std::invoke_result_t<Fn&, StreamHandle&>;
@@ -506,6 +520,8 @@ class SnsService {
 
   /// Starts the exporter thread when metrics.export_interval_ms > 0.
   void StartExporter();
+  /// Exchanges the whole state with `other` (moves are built on it).
+  void Swap(SnsService& other);
   /// Stops and joins the exporter thread. Must run before the executor
   /// shuts down (the exporter submits OnMetrics delivery tasks).
   void StopExporter();
@@ -516,7 +532,7 @@ class SnsService {
   /// instrumentation pointers survive service moves. Declared before the
   /// executor, whose shards record into it.
   std::unique_ptr<telemetry::MetricsRegistry> metrics_;
-  std::unique_ptr<ShardedExecutor> executor_;  // Null inline.
+  std::unique_ptr<ShardedExecutor> executor_;  // Never null.
   std::unique_ptr<PeriodicExporter> exporter_;  // Null without an interval.
 };
 
@@ -531,33 +547,6 @@ Ticket SnsService::SubmitOp(StreamEntry& entry, Op op, bool force_block,
   }
   std::lock_guard<std::mutex> lock(entry.submit_mu);
   const uint64_t seq = entry.issued_seq + 1;
-  if (executor_ == nullptr) {
-    // Inline: apply on the caller's thread, sequence numbers, shutdown
-    // fencing and all, so the ticketed surface behaves identically at
-    // shards = 0. No queue exists, so deadlines cannot expire here.
-    if (registry_->shutdown.load(std::memory_order_acquire)) {
-      return Ticket::Completed(
-          Status::FailedPrecondition("service is shut down"));
-    }
-    entry.issued_seq = seq;
-    Status status;
-    if (entry.shard_metrics != nullptr) {
-      // Inline parity with the worker-shard instrumentation: the applied
-      // operation is both the "task" and the whole issue→complete span.
-      const int64_t start_ns = telemetry::MonotonicNanos();
-      status = op(entry, seq);
-      const int64_t elapsed_ns = telemetry::MonotonicNanos() - start_ns;
-      entry.shard_metrics->apply_ns.Record(elapsed_ns);
-      entry.shard_metrics->ingest_latency_ns.Record(elapsed_ns);
-      entry.shard_metrics->tasks_executed.Add(1);
-    } else {
-      status = op(entry, seq);
-    }
-    entry.applied_seq.store(seq, std::memory_order_release);
-    auto record = std::make_shared<internal::TicketRecord>(seq);
-    record->Complete(std::move(status));
-    return Ticket(std::move(record));
-  }
   std::optional<Mailbox::Deadline> absolute;
   if (deadline.has_value()) {
     absolute = std::chrono::steady_clock::now() + *deadline;
@@ -566,7 +555,8 @@ Ticket SnsService::SubmitOp(StreamEntry& entry, Op op, bool force_block,
   StreamEntry* e = &entry;
   // Ingest-to-ticket latency: issue time is taken before the push, so the
   // recorded span covers any backpressure wait plus queueing delay plus the
-  // apply itself — the latency an async producer actually experiences.
+  // apply itself — the latency an async producer actually experiences. On
+  // the caller lane it is the apply alone.
   telemetry::LatencyHistogram* latency =
       entry.shard_metrics != nullptr
           ? &entry.shard_metrics->ingest_latency_ns
@@ -609,7 +599,6 @@ auto SnsService::RunOnShard(StreamEntry& entry, Fn fn)
     -> std::invoke_result_t<Fn&, StreamHandle&> {
   using R = std::invoke_result_t<Fn&, StreamHandle&>;
   static_assert(!std::is_void_v<R>, "shard hops must return a value");
-  if (executor_ == nullptr) return fn(*entry.handle);
   std::optional<R> slot;
   auto done = std::make_shared<internal::TicketRecord>();
   StreamEntry* e = &entry;
@@ -621,7 +610,7 @@ auto SnsService::RunOnShard(StreamEntry& entry, Fn fn)
       }),
       /*block=*/true);
   if (result != Mailbox::PushResult::kOk) {
-    // Shut down: the shard threads are joined, so inline access is safe.
+    // Shut down: the shard threads are joined, so direct access is safe.
     return fn(*entry.handle);
   }
   done->Wait();

@@ -106,9 +106,11 @@ class EventSink {
 
   /// Periodic metrics sample for the stream, fired every
   /// ServiceOptions::metrics.export_interval_ms when the periodic exporter
-  /// is configured. Delivered on the stream's owning shard (sharded
-  /// service) or on the exporter thread (inline service, shards = 0). The
-  /// default ignores it.
+  /// is configured. Delivered on the stream's lane: its owning shard
+  /// (shards >= 1), or the caller lane (shards = 0), which here means the
+  /// exporter thread that submits the delivery. SnsService::Remove waits for
+  /// an in-flight delivery to the stream, so none arrives after Remove
+  /// returns. The default ignores it.
   virtual void OnMetrics(const telemetry::StreamMetricsSnapshot& metrics) {
     (void)metrics;
   }

@@ -61,23 +61,24 @@ StreamHandle::StreamHandle(std::string name, std::vector<int64_t> mode_dims,
   });
 }
 
-Status StreamHandle::ValidateBatch(std::span<const Tuple> tuples) const {
-  const int arity = static_cast<int>(mode_dims_.size());
-  int64_t prev_time = last_time_;
+Status internal::CheckTupleSchema(std::span<const Tuple> tuples,
+                                  std::span<const int64_t> mode_dims) {
+  const size_t arity = mode_dims.size();
   for (size_t n = 0; n < tuples.size(); ++n) {
     const Tuple& tuple = tuples[n];
-    if (tuple.index.size() != arity) {
+    if (static_cast<size_t>(tuple.index.size()) != arity) {
       return Status::InvalidArgument(
-          "tuple " + std::to_string(n) + " arity " +
-          std::to_string(tuple.index.size()) + " != stream arity " +
-          std::to_string(arity));
+          "tuple " + std::to_string(n) + " has " +
+          std::to_string(tuple.index.size()) +
+          " mode indices; the stream has " + std::to_string(arity) +
+          " non-time modes");
     }
-    for (int m = 0; m < arity; ++m) {
-      if (tuple.index[m] < 0 ||
-          tuple.index[m] >= mode_dims_[static_cast<size_t>(m)]) {
-        return Status::InvalidArgument("tuple " + std::to_string(n) +
-                                       " index out of range in mode " +
-                                       std::to_string(m));
+    for (size_t m = 0; m < arity; ++m) {
+      if (tuple.index[m] < 0 || tuple.index[m] >= mode_dims[m]) {
+        return Status::InvalidArgument(
+            "tuple " + std::to_string(n) + " index " +
+            std::to_string(tuple.index[m]) + " is outside mode " +
+            std::to_string(m) + " of size " + std::to_string(mode_dims[m]));
       }
     }
     // Hostile-input guard: a NaN/Inf value would be silently dropped by the
@@ -87,17 +88,28 @@ Status StreamHandle::ValidateBatch(std::span<const Tuple> tuples) const {
     if (!std::isfinite(tuple.value)) {
       return Status::InvalidArgument(
           "tuple " + std::to_string(n) +
-          " has a non-finite value; stream values must be finite");
+          " carries a non-finite value; stream values must be finite");
     }
-    if (tuple.time < prev_time) {
-      return Status::FailedPrecondition(
-          "tuple " + std::to_string(n) + " regresses in time (" +
-          std::to_string(tuple.time) + " < " + std::to_string(prev_time) +
-          "); streams are strictly chronological");
-    }
-    prev_time = tuple.time;
   }
   return Status::OK();
+}
+
+Status StreamHandle::ValidateBatch(std::span<const Tuple> tuples) const {
+  // The first offending tuple decides, and within one tuple the schema
+  // rule comes before chronology: find the first time regression, then
+  // check the schema up to and including that tuple.
+  size_t n = 0;
+  int64_t prev_time = last_time_;
+  while (n < tuples.size() && tuples[n].time >= prev_time) {
+    prev_time = tuples[n++].time;
+  }
+  SNS_RETURN_IF_ERROR(internal::CheckTupleSchema(
+      tuples.first(std::min(n + 1, tuples.size())), mode_dims_));
+  if (n == tuples.size()) return Status::OK();
+  return Status::FailedPrecondition(
+      "tuple " + std::to_string(n) + " regresses in time (" +
+      std::to_string(tuples[n].time) + " < " + std::to_string(prev_time) +
+      "); streams are strictly chronological");
 }
 
 Status StreamHandle::Warmup(std::span<const Tuple> tuples) {

@@ -270,6 +270,18 @@ class StreamHandle {
   bool initialized_ = false;
 };
 
+namespace internal {
+
+/// The schema rule every stream tuple obeys: one index per non-time mode,
+/// each inside its mode's range, and a finite value. Returns
+/// kInvalidArgument naming the first tuple of `tuples` that breaks it, or
+/// OK. The one definition behind StreamHandle's batch validation and the
+/// service's admission control.
+Status CheckTupleSchema(std::span<const Tuple> tuples,
+                        std::span<const int64_t> mode_dims);
+
+}  // namespace internal
+
 }  // namespace sns
 
 #endif  // SLICENSTITCH_API_STREAM_HANDLE_H_

@@ -1,21 +1,21 @@
 // Ticket — a lightweight completion token for asynchronous service calls.
 //
 // IngestAsync / AdvanceToAsync hand the caller a Ticket immediately; the
-// operation itself runs later on the stream's owning worker shard. The
-// ticket is a shared_ptr onto a small completion record the shard fills in:
-// callers may Wait() for the Status, poll done(), or drop the ticket
+// operation itself runs later on the stream's owning worker shard (or, on
+// the executor's caller lane, before the call returns). The ticket is a
+// shared_ptr onto a small completion record the shard fills in: callers
+// may Wait() for the Status, poll done(), or drop the ticket
 // entirely (fire-and-forget — completion state is reference counted, so a
 // dropped ticket never dangles).
 //
 // Tickets also carry the per-stream *sequence token* assigned at issue
 // time: tickets of one stream are numbered 1, 2, 3… in the order their
-// operations are applied — on the owning shard, or directly on the caller
-// in the inline (shards = 0) configuration — and any query issued after a
-// ticket observes that ticket's operation (queries ride the same FIFO
-// mailbox). Operations that never enter the stream's order — rejected
-// under BackpressurePolicy::kReject, submitted after Shutdown, or
-// addressed to an unknown stream — complete immediately with a non-OK
-// status and sequence 0.
+// operations are applied — on the owning shard, or on the caller lane
+// (shards = 0) — and any query issued after a ticket observes that
+// ticket's operation (queries ride the same lane). Operations that never
+// enter the stream's order — rejected under BackpressurePolicy::kReject,
+// submitted after Shutdown, or addressed to an unknown stream — complete
+// immediately with a non-OK status and sequence 0.
 
 #ifndef SLICENSTITCH_RUNTIME_TICKET_H_
 #define SLICENSTITCH_RUNTIME_TICKET_H_
@@ -40,8 +40,8 @@ class TicketRecord {
   TicketRecord() = default;
   explicit TicketRecord(uint64_t sequence) : sequence_(sequence) {}
 
-  /// Marks the operation finished. Called exactly once, by the worker shard
-  /// (or inline for operations that never enqueue).
+  /// Marks the operation finished. Called exactly once, by the task on the
+  /// stream's lane (or at issue for operations that never enter it).
   void Complete(Status status) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -128,9 +128,9 @@ class Ticket {
   }
 
   /// The per-stream sequence token, assigned in application order starting
-  /// at 1 (in the inline configuration too — the surfaces behave
-  /// identically). Zero for operations that never entered the stream's
-  /// order: rejected, submitted after shutdown, or unknown stream.
+  /// at 1 (on the caller lane too — the surfaces behave identically). Zero
+  /// for operations that never entered the stream's order: rejected,
+  /// submitted after shutdown, or unknown stream.
   uint64_t sequence() const {
     SNS_CHECK(record_ != nullptr);
     return record_->sequence();

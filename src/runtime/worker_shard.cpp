@@ -20,17 +20,21 @@ void WorkerShard::Shutdown() {
   if (thread_.joinable()) thread_.join();
 }
 
+void RunTask(Task& task, telemetry::ShardMetrics* metrics) {
+  if (metrics == nullptr) {
+    task();
+    return;
+  }
+  const int64_t start_ns = telemetry::MonotonicNanos();
+  task();
+  metrics->apply_ns.Record(telemetry::MonotonicNanos() - start_ns);
+  metrics->tasks_executed.Add(1);
+}
+
 void WorkerShard::Run() {
   Task task;
   while (mailbox_.Pop(task)) {
-    if (metrics_ != nullptr) {
-      const int64_t start_ns = telemetry::MonotonicNanos();
-      task();
-      metrics_->apply_ns.Record(telemetry::MonotonicNanos() - start_ns);
-      metrics_->tasks_executed.Add(1);
-    } else {
-      task();
-    }
+    RunTask(task, metrics_);
     task = Task();  // Release captures before acknowledging completion:
                     // after TaskDone a drained caller may free what the
                     // closure captured (e.g. during stream removal).

@@ -59,6 +59,12 @@ class WorkerShard {
   std::thread thread_;
 };
 
+/// Runs one task, recording its apply time and completion into `metrics`
+/// when non-null. Every execution lane runs tasks through here — a worker
+/// shard's thread and the executor's caller lane alike — so both are
+/// instrumented identically.
+void RunTask(Task& task, telemetry::ShardMetrics* metrics);
+
 }  // namespace sns
 
 #endif  // SLICENSTITCH_RUNTIME_WORKER_SHARD_H_

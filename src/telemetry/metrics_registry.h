@@ -1,7 +1,7 @@
 // MetricsRegistry: the telemetry domains owned by a running SnsService.
 //
 // Two kinds of domain:
-//   - ShardMetrics, one per worker shard (or one for the inline service):
+//   - ShardMetrics, one per worker shard (or one for the caller lane):
 //     the hot-path instruments — mailbox traffic, queue depth, per-task
 //     apply time, ingest-to-ticket latency.
 //   - StreamMetrics, one per registered stream: ingest/journal/checkpoint
@@ -36,7 +36,7 @@
 namespace sns {
 namespace telemetry {
 
-/// Hot-path instruments for one worker shard (or the inline executor).
+/// Hot-path instruments for one worker shard (or the caller lane).
 struct ShardMetrics {
   /// Tasks run to completion on the shard (queries and barriers included).
   Counter tasks_executed;
@@ -59,7 +59,7 @@ struct ShardMetrics {
 
 /// Per-stream instruments, attributed to the stream's pinned shard.
 struct StreamMetrics {
-  /// Pinned shard index (0 for the inline service). Written at registration
+  /// Pinned shard index (0 on the caller lane). Written at registration
   /// under the registry lock; snapshot-read under the same lock.
   int shard = 0;
   Counter tuples_ingested;
@@ -137,7 +137,7 @@ struct ServiceMetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// Creates `num_shards` shard domains (>= 1; the inline service uses one).
+  /// Creates `num_shards` shard domains (>= 1; the caller lane uses one).
   explicit MetricsRegistry(int num_shards);
 
   MetricsRegistry(const MetricsRegistry&) = delete;

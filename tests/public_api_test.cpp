@@ -9,6 +9,7 @@
 #include <cmath>
 #include <iterator>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -107,32 +108,59 @@ TEST(SnsServiceTest, HandlePointersStableAcrossPoolMutation) {
 TEST(SnsServiceTest, MoveKeepsHandlePointersValid) {
   // The header documents handle-address stability; pin it across service
   // moves: the registry lives behind a stable heap allocation, so moving
-  // the service moves ownership, never the handles.
-  SnsService original;
-  StreamHandle* taxi =
-      original.CreateStream("taxi", {6, 5}, SmallOptions()).value();
-  StreamHandle* crime =
-      original.CreateStream("crime", {4, 4}, SmallOptions()).value();
-  ASSERT_TRUE(taxi->Warmup(std::vector<Tuple>{{{1, 1}, 2.0, 3}}).ok());
+  // the service moves ownership, never the handles. Both kinds of executor
+  // lane: the caller lane (shards = 0) and worker shards.
+  for (const int shards : {0, 2}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ServiceOptions runtime;
+    runtime.shards = shards;
+    SnsService original(runtime);
+    StreamHandle* taxi =
+        original.CreateStream("taxi", {6, 5}, SmallOptions()).value();
+    StreamHandle* crime =
+        original.CreateStream("crime", {4, 4}, SmallOptions()).value();
+    ASSERT_TRUE(taxi->Warmup(std::vector<Tuple>{{{1, 1}, 2.0, 3}}).ok());
 
-  SnsService moved(std::move(original));  // Move-construct.
-  EXPECT_EQ(moved.Find("taxi"), taxi);
-  EXPECT_EQ(moved.Find("crime"), crime);
-  EXPECT_EQ(taxi->Stats().window_nnz, 1);  // State came along untouched.
-  // The moved-from service degrades to a valid empty pool.
-  EXPECT_TRUE(original.empty());  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(original.Find("taxi"), nullptr);
+    SnsService moved(std::move(original));  // Move-construct.
+    EXPECT_EQ(moved.Find("taxi"), taxi);
+    EXPECT_EQ(moved.Find("crime"), crime);
+    EXPECT_EQ(moved.shards(), shards);
+    EXPECT_EQ(taxi->Stats().window_nnz, 1);  // State came along untouched.
+    // The moved-from service degrades to a valid empty caller-lane pool...
+    EXPECT_TRUE(original.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(original.Find("taxi"), nullptr);
+    EXPECT_EQ(original.shards(), 0);
+    // ...that still runs a whole stream lifecycle, ticketed surface included.
+    ASSERT_TRUE(original.CreateStream("fresh", {6, 5}, SmallOptions()).ok());
+    ASSERT_TRUE(
+        original.Warmup("fresh", std::vector<Tuple>{{{1, 1}, 2.0, 3}}).ok());
+    ASSERT_TRUE(original.Initialize("fresh").ok());
+    ASSERT_TRUE(original.Ingest("fresh", Tuple{{2, 2}, 1.0, 95}).ok());
+    const Ticket ticket =
+        original.IngestAsync("fresh", std::vector<Tuple>{{{3, 3}, 1.0, 96}});
+    EXPECT_TRUE(ticket.done());  // Applied on the caller before returning.
+    EXPECT_TRUE(ticket.Wait().ok());
+    EXPECT_EQ(ticket.sequence(), 4u);
+    original.Shutdown();
+    EXPECT_EQ(original.Ingest("fresh", Tuple{{1, 2}, 1.0, 97}).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(original.Stats("fresh").value().last_time, 96);
 
-  SnsService assigned;
-  ASSERT_TRUE(assigned.CreateStream("old", {4, 4}, SmallOptions()).ok());
-  assigned = std::move(moved);  // Move-assign over an existing pool.
-  EXPECT_EQ(assigned.Find("old"), nullptr);  // The old pool is gone...
-  EXPECT_EQ(assigned.Find("taxi"), taxi);    // ...the moved one intact.
-  EXPECT_EQ(assigned.stream_count(), 2);
-  // The handle stays fully usable through its old pointer.
-  ASSERT_TRUE(taxi->Initialize().ok());
-  ASSERT_TRUE(taxi->Ingest(Tuple{{2, 2}, 1.0, 95}).ok());
-  EXPECT_EQ(taxi->Stats().last_time, 95);
+    SnsService assigned(runtime);
+    ASSERT_TRUE(assigned.CreateStream("old", {4, 4}, SmallOptions()).ok());
+    assigned = std::move(moved);  // Move-assign over an existing pool.
+    EXPECT_EQ(assigned.Find("old"), nullptr);  // The old pool is gone...
+    EXPECT_EQ(assigned.Find("taxi"), taxi);    // ...the moved one intact.
+    EXPECT_EQ(assigned.stream_count(), 2);
+    // The handle stays fully usable through its old pointer.
+    ASSERT_TRUE(taxi->Initialize().ok());
+    ASSERT_TRUE(taxi->Ingest(Tuple{{2, 2}, 1.0, 95}).ok());
+    EXPECT_EQ(taxi->Stats().last_time, 95);
+    // And through the service that now owns it, on its original lanes.
+    EXPECT_EQ(assigned.shards(), shards);
+    ASSERT_TRUE(assigned.Ingest("taxi", Tuple{{3, 3}, 1.0, 96}).ok());
+    EXPECT_EQ(assigned.Stats("taxi").value().last_time, 96);
+  }
 }
 
 // --- Multi-stream routing -------------------------------------------------

@@ -582,6 +582,82 @@ TEST(ServiceTelemetryTest, PeriodicExporterFiresOnMetricsAndWritesJson) {
   fs::remove(json_path);
 }
 
+TEST(ServiceTelemetryTest, RemoveWaitsOutPeriodicMetricsDelivery) {
+  // Regression: the exporter collected {handle, lane} under the registry
+  // lock and delivered after releasing it, so a Remove in between could
+  // destroy the handle under a pending OnMetrics delivery — a heap
+  // use-after-free under ASan. Many bystander streams widen the
+  // collect → deliver window; "zz" sorts last, so it is delivered last.
+  const ContinuousCpdOptions options = SmallEngineOptions();
+  for (const int shards : {0, 1}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ServiceOptions runtime;
+    runtime.shards = shards;
+    runtime.metrics.enabled = true;
+    runtime.metrics.export_interval_ms = 1;
+    SnsService service(runtime);
+    for (int i = 0; i < 64; ++i) {
+      const std::string name = (i < 10 ? "a0" : "a") + std::to_string(i);
+      ASSERT_TRUE(service.CreateStream(name, {6, 5}, options).ok());
+    }
+    // Time-bounded rather than round-bounded: the race needs many exporter
+    // ticks (1 ms apart) to land inside the loop, however fast a round is.
+    // Before the fix one second hit it in every ASan run at shards = 1.
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (std::chrono::steady_clock::now() < until) {
+      ASSERT_TRUE(service.CreateStream("zz", {6, 5}, options).ok());
+      ASSERT_TRUE(service.Remove("zz").ok());
+    }
+    EXPECT_EQ(service.stream_count(), 64);
+    service.Shutdown();
+  }
+}
+
+TEST(ServiceTelemetryTest, CallerLaneCountsTasksLikeAWorkerShard) {
+  // Every operation is one task on its stream's lane, query hops included,
+  // and every lane times its tasks through the same helper: the same op
+  // sequence counts identically on the caller lane (shards = 0) and on one
+  // worker shard.
+  const ContinuousCpdOptions options = SmallEngineOptions();
+  const DataStream stream = SmallStream(300, 17);
+  const auto [warm, live] = SplitWarmup(stream, options);
+  ASSERT_GE(live.size(), 40u);
+  const int64_t horizon = live[39].time + 1;
+  std::vector<telemetry::ShardMetricsSnapshot> lanes;
+  for (const int shards : {0, 1}) {
+    ServiceOptions runtime;
+    runtime.shards = shards;
+    runtime.metrics.enabled = true;
+    SnsService service(runtime);
+    ASSERT_TRUE(service.CreateStream("s", {6, 5}, options).ok());
+    ASSERT_TRUE(service.Warmup("s", warm).ok());                      // 1
+    ASSERT_TRUE(service.Initialize("s").ok());                        // 2
+    ASSERT_TRUE(service.Ingest("s", live.subspan(0, 20)).ok());       // 3
+    ASSERT_TRUE(service.IngestAsync("s", live.subspan(20, 20))        // 4
+                    .Wait()
+                    .ok());
+    ASSERT_TRUE(service.RunningFitness("s").ok());                    // 5
+    ASSERT_TRUE(service.Stats("s").ok());                             // 6
+    ASSERT_TRUE(service.TopK("s", 0, 3).ok());                        // 7
+    ASSERT_TRUE(service.AdvanceToAsync("s", horizon).Wait().ok());    // 8
+    ASSERT_TRUE(service.AdvanceAllTo(horizon + 5).ok());  // 9 hop, 10 op
+    // Joining the shard settles its last task's timing; Metrics() after
+    // Shutdown takes no barrier task of its own.
+    service.Shutdown();
+    const ServiceMetricsSnapshot snap = service.Metrics().value();
+    ASSERT_EQ(snap.shards.size(), 1u);
+    lanes.push_back(snap.shards[0]);
+  }
+  EXPECT_EQ(lanes[0].tasks_executed, 10u);
+  EXPECT_EQ(lanes[1].tasks_executed, 10u);
+  EXPECT_EQ(lanes[0].apply_ns.count, lanes[1].apply_ns.count);
+  EXPECT_EQ(lanes[0].apply_ns.count, 10u);
+  // Six ticketed operations, each with one issue-to-completion sample.
+  EXPECT_EQ(lanes[0].ingest_latency_ns.count, 6u);
+  EXPECT_EQ(lanes[1].ingest_latency_ns.count, 6u);
+}
+
 // --- Differential: telemetry does not perturb factor state ----------------
 
 std::vector<double> FactorState(SnsService& service,
