@@ -251,10 +251,9 @@ void ContinuousCpd::ProcessTuple(const Tuple& tuple) {
 void ContinuousCpd::ProcessBatch(std::span<const Tuple> tuples) {
   // Same event order as per-tuple processing (scheduled events due at or
   // before each arrival drain first), but the earliest due time is cached
-  // across the batch: a tuple only touches the schedule heap when an event
-  // is actually due. Ingest schedules the tuple's first slide at
-  // t + period, which is folded into the cached bound without re-reading
-  // the heap.
+  // across the batch: a tuple only touches the schedule when an event is
+  // actually due. Ingest schedules the tuple's first slide at t + period,
+  // which is folded into the cached bound without re-reading the schedule.
   int64_t next_due = window_.NextScheduledTime();
   for (const Tuple& tuple : tuples) {
     if (next_due <= tuple.time) {

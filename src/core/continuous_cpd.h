@@ -78,7 +78,7 @@ class ContinuousCpd {
   /// Processes a chronological batch of tuples with event ordering identical
   /// to calling ProcessTuple per tuple (pinned by tests), but the scheduled
   /// due time is kept in a register across the batch, so tuples that trigger
-  /// no slide/expiry skip the schedule heap entirely.
+  /// no slide/expiry skip the window's schedule entirely.
   void ProcessBatch(std::span<const Tuple> tuples);
 
   /// Drains scheduled events due at or before `time` with factor updates.

@@ -10,9 +10,6 @@
 namespace sns {
 namespace {
 
-// Rows GramSolver::SolveRows interleaves per Cholesky elimination step.
-constexpr int64_t kSolveRowBlock = 4;
-
 // Minimum acceptable ratio between the smallest and largest Cholesky pivot:
 // below this the Gram is treated as numerically singular and the
 // pseudoinverse path is used instead.
@@ -31,7 +28,10 @@ bool FactorIsWellConditioned(const Matrix& factor) {
 
 void GramSolver::Factorize(const Matrix& h) {
   const int64_t n = h.rows();
-  if (upper_.rows() != n) upper_ = Matrix(n, n);
+  if (upper_.rows() != n) {
+    upper_ = Matrix(n, n);
+    lanes_.Resize(n * kSolveRowsBlock);
+  }
   const RankKernelTable& rt = rt_ ? *rt_ : GetRankKernelTable(0);
   // Row-suffix (U'U) factorization: every inner loop contiguous — see
   // CholeskyFactorizeUpperInto.
@@ -60,20 +60,8 @@ void GramSolver::SolveRows(const Matrix& b, Matrix& x) const {
     }
     return;
   }
-  const int64_t n = upper_.rows();
-  SNS_CHECK(b.cols() == n);
-  const RankKernelTable& rt = rt_ ? *rt_ : GetRankKernelTable(0);
-  double* rows[kSolveRowBlock];
-  for (int64_t first = 0; first < b.rows(); first += kSolveRowBlock) {
-    const int count =
-        static_cast<int>(std::min(kSolveRowBlock, b.rows() - first));
-    for (int j = 0; j < count; ++j) {
-      const double* src = b.Row(first + j);
-      rows[j] = x.Row(first + j);
-      std::copy(src, src + n, rows[j]);
-    }
-    CholeskySolveUpperRowsInPlace(upper_, rows, count, rt);
-  }
+  CholeskySolveUpperRows(upper_, b, x, lanes_.data(),
+                         rt_ ? *rt_ : GetRankKernelTable(0));
 }
 
 void SolveRowAgainstGram(const Matrix& h, const double* b, double* x) {

@@ -31,10 +31,11 @@ class GramSolver {
   void Solve(const double* b, double* x) const;
 
   /// X = B H† for every row of `b` (m×n) into `x` (m×n; only the n logical
-  /// values of each row are written). Rows are solved in interleaved blocks
-  /// so their dependency chains overlap; each row is bitwise identical to
-  /// Solve on it. `b` and `x` must not alias. Allocation-free on the
-  /// Cholesky path, like Solve.
+  /// values of each row are written). Rows are solved a block at a time,
+  /// one row per SIMD lane on the intrinsic tiers (CholeskySolveUpperRows);
+  /// each row is bitwise identical to Solve on it. `b` and `x` must not
+  /// alias. Allocation-free on the Cholesky path, like Solve; not safe to
+  /// call concurrently on one solver (the lane scratch is shared).
   void SolveRows(const Matrix& b, Matrix& x) const;
 
   /// Pins the RUNTIME-LENGTH kernel table (padded_rank == 0) the Cholesky
@@ -45,6 +46,8 @@ class GramSolver {
 
  private:
   Matrix upper_;  // A = U'U factor (row-suffix kernels; linalg/cholesky.h).
+  // SolveRows' lane scratch: n × kSolveRowsBlock doubles, sized with upper_.
+  mutable AlignedVector lanes_;
   Matrix pinv_;
   bool use_pinv_ = false;
   const RankKernelTable* rt_ = nullptr;

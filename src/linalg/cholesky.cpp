@@ -89,32 +89,30 @@ void CholeskySolveUpperInPlace(const Matrix& upper, double* x) {
 
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
                                const RankKernelTable& kr) {
-  CholeskySolveUpperRowsInPlace(upper, &x, 1, kr);
-}
-
-void CholeskySolveUpperRowsInPlace(const Matrix& upper, double* const* rows,
-                                   int count, const RankKernelTable& kr) {
   SNS_DCHECK(kr.padded_rank == 0);
   const int64_t n = upper.rows();
   // Forward elimination U' y = b, walking rows of U: once y[k] is final,
   // subtract its contribution U(k, k+1..n)·y[k] from the pending suffix.
   for (int64_t k = 0; k < n; ++k) {
     const double* row = upper.Row(k);
-    for (int j = 0; j < count; ++j) {
-      double* x = rows[j];
-      const double y_k = x[k] / row[k];
-      x[k] = y_k;
-      kr.axpy(-y_k, row + k + 1, x + k + 1, n - k - 1);
-    }
+    const double y_k = x[k] / row[k];
+    x[k] = y_k;
+    kr.axpy(-y_k, row + k + 1, x + k + 1, n - k - 1);
   }
   // Back substitution U x = y: contiguous row-suffix dots.
   for (int64_t i = n - 1; i >= 0; --i) {
     const double* row = upper.Row(i);
-    for (int j = 0; j < count; ++j) {
-      double* x = rows[j];
-      x[i] = (x[i] - kr.dot(row + i + 1, x + i + 1, n - i - 1)) / row[i];
-    }
+    x[i] = (x[i] - kr.dot(row + i + 1, x + i + 1, n - i - 1)) / row[i];
   }
+}
+
+void CholeskySolveUpperRows(const Matrix& upper, const Matrix& b, Matrix& x,
+                            double* lanes, const RankKernelTable& kr) {
+  SNS_CHECK(b.rows() == x.rows() && b.cols() == upper.rows() &&
+            x.cols() == upper.rows());
+  if (b.rows() == 0 || upper.rows() == 0) return;
+  kr.solve_upper_rows(upper.Row(0), upper.stride(), upper.rows(), b.Row(0),
+                      x.Row(0), b.stride(), b.rows(), lanes);
 }
 
 StatusOr<Cholesky> Cholesky::Factorize(const Matrix& a) {

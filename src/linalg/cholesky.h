@@ -53,13 +53,15 @@ void CholeskySolveUpperInPlace(const Matrix& upper, double* x);
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
                                const RankKernelTable& kr);
 
-/// Solves `count` right-hand sides at once: `rows[j]` holds b_j on entry
-/// and x_j on exit. The rows are interleaved per elimination step so their
-/// latency-bound dependency chains overlap, but each row goes through
-/// exactly the kernel calls of the single-row form, in the same order —
-/// every solution is bitwise identical to CholeskySolveUpperInPlace's.
-void CholeskySolveUpperRowsInPlace(const Matrix& upper, double* const* rows,
-                                   int count, const RankKernelTable& kr);
+/// Solves every row of `b` into the same row of `x` (both m×n, not
+/// aliased) through the table's `solve_upper_rows`: the intrinsic tiers
+/// solve a block of rows at once with one row per SIMD lane, the generic
+/// tier interleaves rows per elimination step. Every solution is bitwise
+/// identical to CholeskySolveUpperInPlace's on that row with the same
+/// table. `lanes` is scratch of n × kSolveRowsBlock doubles
+/// (linalg/rank_dispatch.h).
+void CholeskySolveUpperRows(const Matrix& upper, const Matrix& b, Matrix& x,
+                            double* lanes, const RankKernelTable& kr);
 
 /// Cholesky factorization of a symmetric positive-definite matrix.
 class Cholesky {

@@ -4,8 +4,48 @@
 #include "linalg/codelets/codelet_tables.h"
 #endif
 
+#include <algorithm>
+
 namespace sns {
 namespace {
+
+// Rows the generic solve interleaves per elimination step: their
+// latency-bound axpy/dot chains overlap, while each row goes through
+// exactly the kernel calls of the single-row solve, in the same order.
+constexpr int kGenericSolveBlock = 4;
+
+void VecSolveUpperRows(const double* upper, int64_t upper_stride, int64_t n,
+                       const double* b, double* x, int64_t row_stride,
+                       int64_t rows, double* /*lanes*/) {
+  for (int64_t first = 0; first < rows; first += kGenericSolveBlock) {
+    const int count = static_cast<int>(
+        std::min<int64_t>(kGenericSolveBlock, rows - first));
+    double* xs[kGenericSolveBlock];
+    for (int j = 0; j < count; ++j) {
+      const double* src = b + (first + j) * row_stride;
+      xs[j] = x + (first + j) * row_stride;
+      std::copy(src, src + n, xs[j]);
+    }
+    // Forward elimination U' y = b, walking rows of U.
+    for (int64_t k = 0; k < n; ++k) {
+      const double* row = upper + k * upper_stride;
+      for (int j = 0; j < count; ++j) {
+        const double y_k = xs[j][k] / row[k];
+        xs[j][k] = y_k;
+        VecAxpy<0>(-y_k, row + k + 1, xs[j] + k + 1, n - k - 1);
+      }
+    }
+    // Back substitution U x = y: contiguous row-suffix dots.
+    for (int64_t i = n - 1; i >= 0; --i) {
+      const double* row = upper + i * upper_stride;
+      for (int j = 0; j < count; ++j) {
+        xs[j][i] =
+            (xs[j][i] - VecDot<0>(row + i + 1, xs[j] + i + 1, n - i - 1)) /
+            row[i];
+      }
+    }
+  }
+}
 
 template <int64_t P>
 constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
@@ -18,7 +58,8 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecFma3<P>,
                                            &VecDot<P>,
                                            &VecGramRowDelta<P>,
-                                           &VecScaledDiffAccum<P>};
+                                           &VecScaledDiffAccum<P>,
+                                           &VecSolveUpperRows};
 
 const RankKernelTable& GenericTable(int64_t padded_rank) {
   // Reuses DispatchPaddedRank so the specialization set lives in exactly

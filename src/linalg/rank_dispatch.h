@@ -129,9 +129,9 @@ inline void VecFma3(double v, const double* a, const double* b,
 /// slot), combined as (s0+s2)+(s1+s3): a sequential dot is one
 /// multiply-add dependency chain and bottlenecks on FMA latency — the
 /// Cholesky factorize/solve loops live on this. The grouping is fixed, so
-/// results are deterministic (identical everywhere this kernel is used,
-/// which is every dot in the library — internal bitwise differentials
-/// remain exact).
+/// results are deterministic: every generic-tier dot (the table's `dot`,
+/// the lower-triangular Cholesky, the generic `solve_upper_rows`) rounds
+/// the same way, and internal bitwise differentials remain exact.
 template <int64_t P>
 inline double VecDot(const double* a, const double* b, int64_t n) {
   const int64_t m = TripCount<P>(n);
@@ -174,6 +174,10 @@ inline void VecScaledDiffAccum(double p, const double* SNS_RESTRICT new_row,
 // ---------------------------------------------------------------------------
 // Function-pointer table over the primitives, resolved once per engine.
 
+/// Rows a `solve_upper_rows` kernel holds in its lane scratch at a time: the
+/// scratch it is handed must hold n × kSolveRowsBlock doubles.
+inline constexpr int64_t kSolveRowsBlock = 16;
+
 /// The row-level kernel set the per-event updaters call directly. Resolved
 /// by GetRankKernelTable at engine construction (UpdateWorkspace::Prepare)
 /// and cached, so steady-state events perform no dispatch at all. Every
@@ -188,6 +192,11 @@ inline void VecScaledDiffAccum(double p, const double* SNS_RESTRICT new_row,
 /// without the extensions). Intrinsic tiers may fuse multiply-adds, so they
 /// match the generic tier to a few ulps, not bitwise; elementwise kernels
 /// (fill/copy/mul/mul_accum) are bitwise across tiers.
+///
+/// `solve_upper_rows` is the one multi-row kernel: it is runtime-length in
+/// every table (n is an argument, padded_rank plays no part) and, within a
+/// tier, bitwise equal to solving each row alone with that tier's `axpy`
+/// and `dot` (linalg/cholesky.h, CholeskySolveUpperInPlace).
 struct RankKernelTable {
   KernelTier tier;      // Which implementation tier this table points at.
   int64_t padded_rank;  // 0 for the runtime-bound table of this tier.
@@ -203,6 +212,14 @@ struct RankKernelTable {
                          const double* old_row, double* g, int64_t n);
   void (*scaled_diff_accum)(double p, const double* new_row,
                             const double* prev_row, double* g, int64_t n);
+  // x_j = b_j (U'U)⁻¹ for rows j < `rows` of b and x (both `row_stride`
+  // apart; only their first n values are read and written), against the
+  // upper factor U of CholeskyFactorizeUpperInto (n×n, `upper_stride`
+  // apart). `lanes` is scratch of n × kSolveRowsBlock doubles. b and x
+  // must not alias.
+  void (*solve_upper_rows)(const double* upper, int64_t upper_stride,
+                           int64_t n, const double* b, double* x,
+                           int64_t row_stride, int64_t rows, double* lanes);
 };
 
 /// The auto-tier table for a given padded rank: a specialization for every

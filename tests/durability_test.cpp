@@ -177,6 +177,75 @@ TEST(SparseTensorSerialTest, RestoreRejectsShapeMismatch) {
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
 }
 
+// --- Window schedule validation -------------------------------------------
+
+// Scheduled entries end a window snapshot, in (due, seq) order; for a
+// two-mode tuple each is due, seq, w, arity, 2 indices, value, time.
+constexpr size_t kScheduledEntryBytes = 8 + 8 + 4 + 4 + 2 * 4 + 8 + 8;
+
+std::string WindowSnapshot(const ContinuousTensorWindow& window) {
+  serial::StringSink sink;
+  serial::Writer w(sink);
+  window.SerializeTo(w);
+  return sink.TakeData();
+}
+
+Status RestoreWindowSnapshot(const std::string& bytes) {
+  ContinuousTensorWindow window({4, 3}, /*window_size=*/3, /*period=*/10);
+  serial::StringSource source(bytes);
+  serial::Reader r(source);
+  return window.RestoreFrom(r);
+}
+
+void OverwriteI64(std::string& bytes, size_t offset, int64_t value) {
+  for (int b = 0; b < 8; ++b) {
+    bytes[offset + b] =
+        static_cast<char>(static_cast<uint64_t>(value) >> (8 * b));
+  }
+}
+
+TEST(WindowScheduleSerialTest, RestoreRejectsEntryNotDueAtTupleTimePlusW) {
+  // W = 3, T = 10: the tuple at t = 0 has its first slide due at 10.
+  // Rewriting the tuple time to −100 leaves an entry due at 10 ≠ −100 + 10,
+  // which restored as OK and then aborted the next AdvanceTo(100).
+  ContinuousTensorWindow window({4, 3}, 3, 10);
+  window.Ingest({{1, 2}, 2.0, 0});
+  std::string bytes = WindowSnapshot(window);
+  ASSERT_TRUE(RestoreWindowSnapshot(bytes).ok());
+  OverwriteI64(bytes, bytes.size() - 8, -100);
+  EXPECT_EQ(RestoreWindowSnapshot(bytes).code(), StatusCode::kDataLoss);
+}
+
+TEST(WindowScheduleSerialTest, RestoreRejectsEntriesOutOfDueSeqOrder) {
+  ContinuousTensorWindow window({4, 3}, 3, 10);
+  window.Ingest({{1, 2}, 2.0, 0});
+  window.Ingest({{0, 1}, 1.0, 5});
+  const std::string bytes = WindowSnapshot(window);
+  ASSERT_TRUE(RestoreWindowSnapshot(bytes).ok());
+  const size_t second = bytes.size() - kScheduledEntryBytes;
+  const size_t first = second - kScheduledEntryBytes;
+  const std::string swapped = bytes.substr(0, first) + bytes.substr(second) +
+                              bytes.substr(first, kScheduledEntryBytes);
+  EXPECT_EQ(RestoreWindowSnapshot(swapped).code(), StatusCode::kDataLoss);
+}
+
+TEST(WindowScheduleSerialTest, RestoreRejectsStageNewerThanTheStageBelow) {
+  // Tuples at t = 0 and t = 5; by t = 10 the first has slid into stage 2
+  // (due 20) while the second waits in stage 1 (due 15). Moving the stage-2
+  // tuple to t = 7 (due 27) keeps every entry self-consistent and in
+  // (due, seq) order, but no stream puts a t = 7 tuple a slide ahead of a
+  // t = 5 one, and stage 2's arrival order would no longer be its due order.
+  ContinuousTensorWindow window({4, 3}, 3, 10);
+  window.Ingest({{1, 2}, 2.0, 0});
+  window.Ingest({{0, 1}, 1.0, 5});
+  window.AdvanceTo(10);
+  std::string bytes = WindowSnapshot(window);
+  ASSERT_TRUE(RestoreWindowSnapshot(bytes).ok());
+  OverwriteI64(bytes, bytes.size() - kScheduledEntryBytes, 27);  // due
+  OverwriteI64(bytes, bytes.size() - 8, 7);                       // time
+  EXPECT_EQ(RestoreWindowSnapshot(bytes).code(), StatusCode::kDataLoss);
+}
+
 // --- Standalone StreamHandle checkpoints ----------------------------------
 
 TEST(StreamCheckpointTest, RestoredHandleReserializesToIdenticalBytes) {

@@ -281,7 +281,8 @@ TEST(ZeroAllocationTest, MetricsRecordingSteadyStateAllocatesNothing) {
 // Window events carry their (at most two) cells inline, so the continuous
 // window itself is allocation-free once its storage has grown: a small,
 // saturated grid with one tuple per time unit keeps W·T tuples active,
-// which bounds the schedule heap, the entry pool and every slice bucket.
+// which bounds the ring of active tuples, the entry pool and every slice
+// bucket.
 TEST(ZeroAllocationTest, WindowAdvanceAndIngestSteadyStateAllocateNothing) {
   const int w_size = 4;
   const int64_t period = 4;

@@ -386,8 +386,9 @@ TEST(GramSolverRowsTest, SolveRowsBitwiseEqualsPerRowSolve) {
       GramSolver solver;
       solver.set_kernels(&GetRankKernelTable(0, tier));
       solver.Factorize(RandomSpd(n, rng, 1.0));
-      // Row counts around the interleaving block, none a multiple of it.
-      for (const int64_t rows : {0, 1, 3, 5, 265}) {
+      // Row counts around the generic tier's interleaving block (4), the
+      // SIMD lane groups (4, 8) and the lane blocks (8, 16).
+      for (const int64_t rows : {0, 1, 3, 5, 7, 8, 9, 15, 16, 17, 265}) {
         SCOPED_TRACE("tier=" + std::string(KernelTierName(tier)) +
                      " n=" + std::to_string(n) +
                      " rows=" + std::to_string(rows));

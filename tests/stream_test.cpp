@@ -3,10 +3,15 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <queue>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/serial.h"
 #include "stream/continuous_window.h"
 #include "stream/data_stream.h"
 #include "stream/periodic_window.h"
@@ -181,6 +186,192 @@ TEST_P(ContinuousWindowPropertyTest, MatchesBruteForceWindow) {
 
 INSTANTIATE_TEST_SUITE_P(RandomStreams, ContinuousWindowPropertyTest,
                          ::testing::Range(0, 10));
+
+// Reference model of the schedule: every pending event in one binary heap
+// ordered by (due, seq), applied exactly as Algorithm 1 states it, and
+// serialized in the window's snapshot format by draining a copy of the heap.
+class HeapScheduleWindow {
+ public:
+  HeapScheduleWindow(std::vector<int64_t> mode_dims, int w_size,
+                     int64_t period)
+      : tensor_(WithTimeMode(std::move(mode_dims), w_size)),
+        w_size_(w_size),
+        period_(period) {}
+
+  WindowDelta Ingest(const Tuple& tuple) {
+    last_event_time_ = tuple.time;
+    WindowDelta delta;
+    delta.kind = EventKind::kArrival;
+    delta.time = tuple.time;
+    delta.tuple = tuple;
+    if (tuple.value == 0.0) return delta;
+    const ModeIndex cell = tuple.index.WithAppended(w_size_ - 1);
+    tensor_.Add(cell, tuple.value);
+    delta.cells.push_back({cell, tuple.value});
+    heap_.push({tuple.time + period_, next_seq_++, tuple, 1});
+    return delta;
+  }
+
+  int64_t NextDue() const {
+    return heap_.empty() ? std::numeric_limits<int64_t>::max()
+                         : heap_.top().due;
+  }
+
+  WindowDelta Pop() {
+    const Event event = heap_.top();
+    heap_.pop();
+    last_event_time_ = event.due;
+    const double v = event.tuple.value;
+    WindowDelta delta;
+    delta.w = event.w;
+    delta.time = event.due;
+    delta.tuple = event.tuple;
+    const ModeIndex from = event.tuple.index.WithAppended(w_size_ - event.w);
+    tensor_.Add(from, -v);
+    delta.cells.push_back({from, -v});
+    if (event.w < w_size_) {
+      delta.kind = EventKind::kSlide;
+      const ModeIndex to =
+          event.tuple.index.WithAppended(w_size_ - event.w - 1);
+      tensor_.Add(to, v);
+      delta.cells.push_back({to, v});
+      heap_.push({event.tuple.time + (event.w + 1) * period_, next_seq_++,
+                  event.tuple, event.w + 1});
+    } else {
+      delta.kind = EventKind::kExpiry;
+    }
+    return delta;
+  }
+
+  std::string Serialize() const {
+    serial::StringSink sink;
+    serial::Writer w(sink);
+    tensor_.SerializeTo(w);
+    w.U64(next_seq_);
+    w.I64(last_event_time_);
+    auto copy = heap_;
+    w.U64(copy.size());
+    for (; !copy.empty(); copy.pop()) {
+      const Event& e = copy.top();
+      w.I64(e.due);
+      w.U64(e.seq);
+      w.I32(e.w);
+      w.U32(static_cast<uint32_t>(e.tuple.index.size()));
+      for (int m = 0; m < e.tuple.index.size(); ++m) w.I32(e.tuple.index[m]);
+      w.F64(e.tuple.value);
+      w.I64(e.tuple.time);
+    }
+    return sink.TakeData();
+  }
+
+ private:
+  struct Event {
+    int64_t due;
+    uint64_t seq;
+    Tuple tuple;
+    int w;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.due != b.due ? a.due > b.due : a.seq > b.seq;
+    }
+  };
+
+  static std::vector<int64_t> WithTimeMode(std::vector<int64_t> dims,
+                                           int w_size) {
+    dims.push_back(w_size);
+    return dims;
+  }
+
+  SparseTensor tensor_;
+  int w_size_;
+  int64_t period_;
+  uint64_t next_seq_ = 0;
+  int64_t last_event_time_ = std::numeric_limits<int64_t>::min();
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+};
+
+std::string SerializeWindow(const ContinuousTensorWindow& window) {
+  serial::StringSink sink;
+  serial::Writer w(sink);
+  window.SerializeTo(w);
+  return sink.TakeData();
+}
+
+void ExpectSameDelta(const WindowDelta& got, const WindowDelta& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.w, want.w);
+  EXPECT_EQ(got.time, want.time);
+  EXPECT_TRUE(got.tuple.index == want.tuple.index);
+  EXPECT_EQ(got.tuple.value, want.tuple.value);
+  EXPECT_EQ(got.tuple.time, want.tuple.time);
+  ASSERT_EQ(got.cells.size(), want.cells.size());
+  for (size_t i = 0; i < got.cells.size(); ++i) {
+    EXPECT_TRUE(got.cells[i].index == want.cells[i].index) << "cell " << i;
+    EXPECT_EQ(got.cells[i].delta, want.cells[i].delta) << "cell " << i;
+  }
+}
+
+// The per-stage FIFO schedule against the heap reference: the same event
+// stream (kind, w, time, tuple, cells) and the same snapshot bytes after
+// every step. Periods of 1–3 with bursts of equal timestamps make due ties
+// across stages common (seq decides them), ~15% of the tuples are
+// zero-valued (never scheduled), and one mid-stream restore swaps the live
+// window for its snapshot's replica.
+class ScheduleDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScheduleDifferentialTest, MatchesHeapScheduleEventForEventAndBytewise) {
+  Rng rng(2000 + GetParam());
+  const std::vector<int64_t> mode_dims = {3, 2};
+  const int w_size = 1 + GetParam() % 5;
+  const int64_t period = 1 + GetParam() % 3;
+  auto window =
+      std::make_unique<ContinuousTensorWindow>(mode_dims, w_size, period);
+  HeapScheduleWindow reference(mode_dims, w_size, period);
+  const int restore_step = 150 + 7 * GetParam();
+  int64_t now = 0;
+  int64_t events = 0;
+
+  for (int step = 0; step < 600; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    now += rng.UniformInt(0, 2);
+    std::vector<WindowDelta> got;
+    window->AdvanceTo(now, [&](const WindowDelta& d) { got.push_back(d); });
+    std::vector<WindowDelta> want;
+    while (reference.NextDue() <= now) want.push_back(reference.Pop());
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) ExpectSameDelta(got[i], want[i]);
+    events += static_cast<int64_t>(got.size());
+
+    for (int64_t burst = rng.UniformInt(0, 3); burst > 0; --burst) {
+      const double value = rng.UniformDouble() < 0.15
+                               ? 0.0
+                               : static_cast<double>(rng.UniformInt(1, 5));
+      const Tuple tuple{{static_cast<int32_t>(rng.UniformInt(0, 2)),
+                         static_cast<int32_t>(rng.UniformInt(0, 1))},
+                        value,
+                        now};
+      ExpectSameDelta(window->Ingest(tuple), reference.Ingest(tuple));
+    }
+    ASSERT_EQ(window->NextScheduledTime(), reference.NextDue());
+    const std::string bytes = SerializeWindow(*window);
+    ASSERT_EQ(bytes, reference.Serialize());
+
+    if (step == restore_step) {
+      auto restored =
+          std::make_unique<ContinuousTensorWindow>(mode_dims, w_size, period);
+      serial::StringSource source(bytes);
+      serial::Reader r(source);
+      ASSERT_TRUE(restored->RestoreFrom(r).ok());
+      ASSERT_EQ(SerializeWindow(*restored), bytes);
+      window = std::move(restored);
+    }
+  }
+  EXPECT_GT(events, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomStreams, ScheduleDifferentialTest,
+                         ::testing::Range(0, 12));
 
 TEST(PeriodicWindowTest, UnitsCloseAtBoundaries) {
   PeriodicTensorWindow window({2, 2}, /*window_size=*/2, /*period=*/10);
