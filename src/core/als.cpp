@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "linalg/rank_dispatch.h"
-#include "tensor/mttkrp.h"
 
 namespace sns {
 
@@ -35,7 +34,8 @@ void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
   const RankKernelTable& kr = GetRankKernelTable(PaddedRank(rank), ws.tier);
   for (int m = 0; m < modes; ++m) {
     Matrix& mttkrp = ws.mttkrp[static_cast<size_t>(m)];
-    MttkrpInto(x, state.model.factors(), m, mttkrp, ws.had.data(), kr);
+    MttkrpInto(x, ws.fibers, state.model.factors(), m, mttkrp,
+               ws.had.data(), kr);
     ws.grams.ProductExcept(m, ws.h);  // H of Alg. 2.
     ws.solver.Factorize(ws.h);
 
@@ -76,6 +76,7 @@ void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
 void AlsSweep(const SparseTensor& x, CpdState& state,
               bool normalize_columns) {
   AlsWorkspace ws;
+  ws.fibers.Build(x);
   AlsSweep(x, state, normalize_columns, ws);
 }
 
@@ -114,6 +115,7 @@ KruskalModel AlsDecompose(const SparseTensor& x, int64_t rank,
   CpdState state(KruskalModel::Random(x.dims(), rank, rng), tier);
   AlsWorkspace ws;
   ws.tier = tier;
+  ws.fibers.Build(x);  // x is fixed over the sweeps.
   const double x_norm_sq = x.FrobeniusNormSquared();
   double previous_fitness = 0.0;
   for (int iter = 0; iter < options.max_iterations; ++iter) {

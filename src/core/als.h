@@ -17,6 +17,7 @@
 #include "core/gram_solve.h"
 #include "core/options.h"
 #include "linalg/simd.h"
+#include "tensor/mttkrp.h"
 #include "tensor/sparse_tensor.h"
 
 namespace sns {
@@ -29,6 +30,12 @@ namespace sns {
 /// AlsDecompose iteration allocates nothing after the first sweep (the
 /// rare pseudoinverse fallback aside). Rank-length scratch is aligned and
 /// padded (linalg/simd.h) so the padded rank-dispatch kernels apply.
+///
+/// `fibers` is the tensor's per-mode fiber index (tensor/mttkrp.h) that
+/// every MTTKRP of a sweep walks. The caller builds it whenever the tensor
+/// changed: once per AlsDecompose, whose tensor is fixed over its sweeps,
+/// and once per SNS-MAT event. A rebuild reuses the index's storage, so it
+/// allocates only when the window holds more non-zeros than ever before.
 struct AlsWorkspace {
   /// (Re)sizes the buffers for `state`'s shape and pins the solver / Gram
   /// chain to `tier`; allocation-free no-op when the shape is unchanged.
@@ -38,6 +45,7 @@ struct AlsWorkspace {
   /// Prepare.
   KernelTier tier = ResolveKernelTier();
 
+  FiberIndex fibers;           // Fibers of the swept tensor; see above.
   std::vector<Matrix> mttkrp;  // Per-mode MTTKRP output (factor-shaped).
   Matrix h;                    // Hadamard-of-Grams of the current mode.
   AlignedVector had;           // Per-entry Hadamard row scratch.
@@ -50,11 +58,12 @@ struct AlsWorkspace {
 /// One full alternating sweep over every mode of `x` (Alg. 2 lines 1-7):
 /// A(m) ← X_(m)(⊙_{n≠m} A(n)) H†, optionally followed by column
 /// normalization into λ. Grams are refreshed per mode. All scratch comes
-/// from `ws` — the hot-path form SNS-MAT calls once per event.
+/// from `ws`, whose `fibers` must index `x` as it stands
+/// (ws.fibers.Build(x)) — the hot-path form SNS-MAT calls once per event.
 void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns,
               AlsWorkspace& ws);
 
-/// Convenience overload with a throwaway workspace.
+/// Convenience overload with a throwaway workspace (fibers built here).
 void AlsSweep(const SparseTensor& x, CpdState& state, bool normalize_columns);
 
 /// Fitness 1 − ‖X̃ − X‖_F / ‖X‖_F of `state.model` right after

@@ -16,7 +16,9 @@ void SnsMatUpdater::OnEvent(const SparseTensor& window,
     return;
   }
   // The maintained factors are a strong warm start, so a single ALS sweep
-  // with column normalization (Alg. 2) suffices per event.
+  // with column normalization (Alg. 2) suffices per event. The event moved
+  // the window, so its fibers are re-indexed first.
+  ws_.fibers.Build(window);
   AlsSweep(window, state, /*normalize_columns=*/true, ws_);
 }
 

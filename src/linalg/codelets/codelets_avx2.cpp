@@ -25,7 +25,9 @@
 // (P ≡ 0 mod 4, buffers padded with zeros per linalg/simd.h); the P = 0
 // runtime-length instantiations handle arbitrary n with scalar tails —
 // they serve the triangular Cholesky loops, whose row suffixes are
-// unaligned, so every vector access uses unaligned loads/stores.
+// unaligned, so every vector access uses unaligned loads/stores. Each tail
+// loop tests P == 0 first, which compiles it out of the padded
+// instantiations, where it could never run.
 
 #include "linalg/codelets/codelet_tables.h"
 
@@ -50,7 +52,7 @@ void Fill(double* dst, double value, int64_t n) {
   const __m256d v = _mm256_set1_pd(value);
   int64_t r = 0;
   for (; r + 4 <= m; r += 4) _mm256_storeu_pd(dst + r, v);
-  for (; r < m; ++r) dst[r] = value;
+  for (; P == 0 && r < m; ++r) dst[r] = value;
 }
 
 template <int64_t P>
@@ -60,7 +62,7 @@ void Copy(const double* src, double* dst, int64_t n) {
   for (; r + 4 <= m; r += 4) {
     _mm256_storeu_pd(dst + r, _mm256_loadu_pd(src + r));
   }
-  for (; r < m; ++r) dst[r] = src[r];
+  for (; P == 0 && r < m; ++r) dst[r] = src[r];
 }
 
 template <int64_t P>
@@ -73,7 +75,7 @@ void Axpy(double alpha, const double* x, double* y, int64_t n) {
         _mm256_fmadd_pd(va, _mm256_loadu_pd(x + r), _mm256_loadu_pd(y + r));
     _mm256_storeu_pd(y + r, vy);
   }
-  for (; r < m; ++r) y[r] = std::fma(alpha, x[r], y[r]);
+  for (; P == 0 && r < m; ++r) y[r] = std::fma(alpha, x[r], y[r]);
 }
 
 template <int64_t P>
@@ -84,7 +86,7 @@ void Mul(const double* a, const double* b, double* out, int64_t n) {
     _mm256_storeu_pd(
         out + r, _mm256_mul_pd(_mm256_loadu_pd(a + r), _mm256_loadu_pd(b + r)));
   }
-  for (; r < m; ++r) out[r] = a[r] * b[r];
+  for (; P == 0 && r < m; ++r) out[r] = a[r] * b[r];
 }
 
 template <int64_t P>
@@ -95,7 +97,7 @@ void MulAccum(double* dst, const double* src, int64_t n) {
     _mm256_storeu_pd(dst + r, _mm256_mul_pd(_mm256_loadu_pd(dst + r),
                                             _mm256_loadu_pd(src + r)));
   }
-  for (; r < m; ++r) dst[r] *= src[r];
+  for (; P == 0 && r < m; ++r) dst[r] *= src[r];
 }
 
 template <int64_t P>
@@ -109,7 +111,32 @@ void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
     _mm256_storeu_pd(out + r,
                      _mm256_fmadd_pd(vv, prod, _mm256_loadu_pd(out + r)));
   }
-  for (; r < m; ++r) out[r] = std::fma(v, a[r] * b[r], out[r]);
+  for (; P == 0 && r < m; ++r) out[r] = std::fma(v, a[r] * b[r], out[r]);
+}
+
+// Fma3 over the terms of one fiber, in order: each lane runs Fma3's
+// fma(v, a·b, acc), with the P-wide row held in P/4 registers.
+template <int64_t P>
+void FiberFma3(const double* v, const double* const* a, const double* const* b,
+               int64_t count, double* out, int64_t n) {
+  if constexpr (P == 0) {
+    for (int64_t k = 0; k < count; ++k) Fma3<0>(v[k], a[k], b[k], out, n);
+  } else {
+    constexpr int kRegs = static_cast<int>(P / 4);
+    __m256d acc[kRegs];
+    for (int l = 0; l < kRegs; ++l) acc[l] = _mm256_loadu_pd(out + 4 * l);
+    for (int64_t k = 0; k < count; ++k) {
+      const __m256d vv = _mm256_set1_pd(v[k]);
+      const double* ak = a[k];
+      const double* bk = b[k];
+      for (int l = 0; l < kRegs; ++l) {
+        const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(ak + 4 * l),
+                                           _mm256_loadu_pd(bk + 4 * l));
+        acc[l] = _mm256_fmadd_pd(vv, prod, acc[l]);
+      }
+    }
+    for (int l = 0; l < kRegs; ++l) _mm256_storeu_pd(out + 4 * l, acc[l]);
+  }
 }
 
 template <int64_t P>
@@ -125,7 +152,7 @@ double Dot(const double* a, const double* b, int64_t n) {
   const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(acc),
                                   _mm256_extractf128_pd(acc, 1));
   double sum = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
-  for (; r < m; ++r) sum = std::fma(a[r], b[r], sum);
+  for (; P == 0 && r < m; ++r) sum = std::fma(a[r], b[r], sum);
   return sum;
 }
 
@@ -143,7 +170,7 @@ void GramRowDelta(double new_i, const double* new_row, double old_i,
     t = _mm256_fnmadd_pd(vo, _mm256_loadu_pd(old_row + r), t);
     _mm256_storeu_pd(g + r, _mm256_add_pd(_mm256_loadu_pd(g + r), t));
   }
-  for (; r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
+  for (; P == 0 && r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
 }
 
 template <int64_t P>
@@ -157,7 +184,7 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
                                     _mm256_loadu_pd(prev_row + r));
     _mm256_storeu_pd(g + r, _mm256_fmadd_pd(vp, d, _mm256_loadu_pd(g + r)));
   }
-  for (; r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
+  for (; P == 0 && r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
 }
 
 // Solves the rows held in `t` in place, one row per lane: t[k·S + j] is
@@ -267,6 +294,7 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx2,
                                     &Mul<P>,
                                     &MulAccum<P>,
                                     &Fma3<P>,
+                                    &FiberFma3<P>,
                                     &Dot<P>,
                                     &GramRowDelta<P>,
                                     &ScaledDiffAccum<P>,

@@ -8,7 +8,8 @@
 // Padded ranks are multiples of 4 doubles, not 8, so every kernel runs an
 // 8-wide (512-bit) main loop followed by at most one 4-wide (256-bit) step
 // — e.g. padded rank 20 = 2×8 + 4 — and the P = 0 runtime-length
-// instantiations add a scalar tail for the unaligned Cholesky suffixes.
+// instantiations add a scalar tail for the unaligned Cholesky suffixes
+// (its loop tests P == 0 first, so padded instantiations compile it out).
 // The dot kernel reduces eight partial-sum lanes, so its summation
 // grouping differs from the generic/AVX2 four-lane scheme: dots agree to
 // ulp-level tolerance across tiers, never bitwise (tests pin this).
@@ -42,10 +43,10 @@ void Fill(double* dst, double value, int64_t n) {
   int64_t r = 0;
   for (; r + 8 <= m; r += 8) _mm512_storeu_pd(dst + r, v8);
   if (r + 4 <= m) {
-    _mm256_storeu_pd(dst + r, _mm512_castpd512_pd256(v8));
+    _mm256_storeu_pd(dst + r, _mm256_set1_pd(value));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] = value;
+  for (; P == 0 && r < m; ++r) dst[r] = value;
 }
 
 template <int64_t P>
@@ -59,7 +60,7 @@ void Copy(const double* src, double* dst, int64_t n) {
     _mm256_storeu_pd(dst + r, _mm256_loadu_pd(src + r));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] = src[r];
+  for (; P == 0 && r < m; ++r) dst[r] = src[r];
 }
 
 template <int64_t P>
@@ -72,12 +73,12 @@ void Axpy(double alpha, const double* x, double* y, int64_t n) {
                                             _mm512_loadu_pd(y + r)));
   }
   if (r + 4 <= m) {
-    const __m256d va4 = _mm512_castpd512_pd256(va8);
+    const __m256d va4 = _mm256_set1_pd(alpha);
     _mm256_storeu_pd(y + r, _mm256_fmadd_pd(va4, _mm256_loadu_pd(x + r),
                                             _mm256_loadu_pd(y + r)));
     r += 4;
   }
-  for (; r < m; ++r) y[r] = std::fma(alpha, x[r], y[r]);
+  for (; P == 0 && r < m; ++r) y[r] = std::fma(alpha, x[r], y[r]);
 }
 
 template <int64_t P>
@@ -93,7 +94,7 @@ void Mul(const double* a, const double* b, double* out, int64_t n) {
                                             _mm256_loadu_pd(b + r)));
     r += 4;
   }
-  for (; r < m; ++r) out[r] = a[r] * b[r];
+  for (; P == 0 && r < m; ++r) out[r] = a[r] * b[r];
 }
 
 template <int64_t P>
@@ -109,7 +110,7 @@ void MulAccum(double* dst, const double* src, int64_t n) {
                                             _mm256_loadu_pd(src + r)));
     r += 4;
   }
-  for (; r < m; ++r) dst[r] *= src[r];
+  for (; P == 0 && r < m; ++r) dst[r] *= src[r];
 }
 
 template <int64_t P>
@@ -126,18 +127,62 @@ void Fma3(double v, const double* a, const double* b, double* out, int64_t n) {
   if (r + 4 <= m) {
     const __m256d prod =
         _mm256_mul_pd(_mm256_loadu_pd(a + r), _mm256_loadu_pd(b + r));
-    _mm256_storeu_pd(out + r, _mm256_fmadd_pd(_mm512_castpd512_pd256(vv8),
+    _mm256_storeu_pd(out + r, _mm256_fmadd_pd(_mm256_set1_pd(v),
                                               prod, _mm256_loadu_pd(out + r)));
     r += 4;
   }
-  for (; r < m; ++r) out[r] = std::fma(v, a[r] * b[r], out[r]);
+  for (; P == 0 && r < m; ++r) out[r] = std::fma(v, a[r] * b[r], out[r]);
+}
+
+// Fma3 over the terms of one fiber, in order: each lane runs Fma3's
+// fma(v, a·b, acc), with the P-wide row held in registers — P/8 zmm plus
+// one ymm for Fma3's 4-wide step when P is not a multiple of 8.
+template <int64_t P>
+void FiberFma3(const double* v, const double* const* a, const double* const* b,
+               int64_t count, double* out, int64_t n) {
+  if constexpr (P == 0) {
+    for (int64_t k = 0; k < count; ++k) Fma3<0>(v[k], a[k], b[k], out, n);
+  } else {
+    constexpr int kRegs = static_cast<int>(P / 8);
+    constexpr bool kQuad = P % 8 != 0;
+    constexpr int64_t kQuadAt = 8 * kRegs;
+    __m512d acc[kRegs > 0 ? kRegs : 1];
+    __m256d quad = _mm256_setzero_pd();
+    for (int l = 0; l < kRegs; ++l) acc[l] = _mm512_loadu_pd(out + 8 * l);
+    if constexpr (kQuad) quad = _mm256_loadu_pd(out + kQuadAt);
+    for (int64_t k = 0; k < count; ++k) {
+      const double* ak = a[k];
+      const double* bk = b[k];
+      const __m512d vv8 = _mm512_set1_pd(v[k]);
+      for (int l = 0; l < kRegs; ++l) {
+        const __m512d prod = _mm512_mul_pd(_mm512_loadu_pd(ak + 8 * l),
+                                           _mm512_loadu_pd(bk + 8 * l));
+        acc[l] = _mm512_fmadd_pd(vv8, prod, acc[l]);
+      }
+      if constexpr (kQuad) {
+        const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(ak + kQuadAt),
+                                           _mm256_loadu_pd(bk + kQuadAt));
+        quad = _mm256_fmadd_pd(_mm256_set1_pd(v[k]), prod, quad);
+      }
+    }
+    for (int l = 0; l < kRegs; ++l) _mm512_storeu_pd(out + 8 * l, acc[l]);
+    if constexpr (kQuad) _mm256_storeu_pd(out + kQuadAt, quad);
+  }
+}
+
+// The 256-bit half kHalf of v. GCC's _mm512_extractf64x4_pd and
+// _mm512_castpd512_pd256 merge into _mm256_undefined_pd(), which
+// -Wuninitialized reports; the all-ones mask overwrites every lane of this
+// defined zero source, so it compiles to the same single extract.
+template <int kHalf>
+inline __m256d Half(__m512d v) {
+  return _mm512_mask_extractf64x4_pd(_mm256_setzero_pd(), 0xFF, v, kHalf);
 }
 
 // ((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7)): the halving tree GCC expands
 // _mm512_reduce_add_pd into, written out so every compiler rounds the same.
 inline double ReduceAdd8(__m512d acc) {
-  const __m256d quad = _mm256_add_pd(_mm512_castpd512_pd256(acc),
-                                     _mm512_extractf64x4_pd(acc, 1));
+  const __m256d quad = _mm256_add_pd(Half<0>(acc), Half<1>(acc));
   const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(quad),
                                   _mm256_extractf128_pd(quad, 1));
   return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
@@ -160,7 +205,7 @@ double Dot(const double* a, const double* b, int64_t n) {
     sum += _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
     r += 4;
   }
-  for (; r < m; ++r) sum = std::fma(a[r], b[r], sum);
+  for (; P == 0 && r < m; ++r) sum = std::fma(a[r], b[r], sum);
   return sum;
 }
 
@@ -177,14 +222,14 @@ void GramRowDelta(double new_i, const double* new_row, double old_i,
     _mm512_storeu_pd(g + r, _mm512_add_pd(_mm512_loadu_pd(g + r), t));
   }
   if (r + 4 <= m) {
-    __m256d t = _mm256_mul_pd(_mm512_castpd512_pd256(vn8),
+    __m256d t = _mm256_mul_pd(_mm256_set1_pd(new_i),
                               _mm256_loadu_pd(new_row + r));
-    t = _mm256_fnmadd_pd(_mm512_castpd512_pd256(vo8),
+    t = _mm256_fnmadd_pd(_mm256_set1_pd(old_i),
                          _mm256_loadu_pd(old_row + r), t);
     _mm256_storeu_pd(g + r, _mm256_add_pd(_mm256_loadu_pd(g + r), t));
     r += 4;
   }
-  for (; r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
+  for (; P == 0 && r < m; ++r) g[r] += new_i * new_row[r] - old_i * old_row[r];
 }
 
 template <int64_t P>
@@ -201,11 +246,11 @@ void ScaledDiffAccum(double p, const double* new_row, const double* prev_row,
   if (r + 4 <= m) {
     const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(new_row + r),
                                     _mm256_loadu_pd(prev_row + r));
-    _mm256_storeu_pd(g + r, _mm256_fmadd_pd(_mm512_castpd512_pd256(vp8), d,
+    _mm256_storeu_pd(g + r, _mm256_fmadd_pd(_mm256_set1_pd(p), d,
                                             _mm256_loadu_pd(g + r)));
     r += 4;
   }
-  for (; r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
+  for (; P == 0 && r < m; ++r) g[r] += p * (new_row[r] - prev_row[r]);
 }
 
 // Hides a product from floating-point contraction, so the add consuming it
@@ -334,6 +379,7 @@ constexpr RankKernelTable kTable = {KernelTier::kAvx512,
                                     &Mul<P>,
                                     &MulAccum<P>,
                                     &Fma3<P>,
+                                    &FiberFma3<P>,
                                     &Dot<P>,
                                     &GramRowDelta<P>,
                                     &ScaledDiffAccum<P>,

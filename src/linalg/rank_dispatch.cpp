@@ -56,6 +56,7 @@ constexpr RankKernelTable kGenericTable = {KernelTier::kGeneric,
                                            &VecMul<P>,
                                            &VecMulAccum<P>,
                                            &VecFma3<P>,
+                                           &VecFiberFma3<P>,
                                            &VecDot<P>,
                                            &VecGramRowDelta<P>,
                                            &VecScaledDiffAccum<P>,

@@ -26,6 +26,7 @@
 #define SLICENSTITCH_LINALG_RANK_DISPATCH_H_
 
 #include <cstdint>
+#include <cstring>
 
 #include "common/cpu_features.h"
 #include "linalg/simd.h"
@@ -123,6 +124,39 @@ inline void VecFma3(double v, const double* a, const double* b,
   for (int64_t r = 0; r < m; ++r) out[r] += v * (a[r] * b[r]);
 }
 
+/// out += Σ_k v[k] · (a[k] ∗ b[k]) for k in [0, count): the fma3 terms of
+/// one MTTKRP fiber, applied in k order, each rounding exactly like
+/// VecFma3<P>(v[k], a[k], b[k], out, n). Under GCC and Clang, specialized
+/// instantiations hold the running row in P/2 two-lane vector registers,
+/// so `out` is read and written once per call instead of once per term
+/// (as a plain array, the compiler vectorizes across terms instead and runs
+/// slower than the per-term loop). `out` must not alias any a[k] or b[k].
+template <int64_t P>
+inline void VecFiberFma3(const double* v, const double* const* a,
+                         const double* const* b, int64_t count,
+                         double* SNS_RESTRICT out, int64_t n) {
+#if defined(__GNUC__) || defined(__clang__)
+  if constexpr (P > 0) {
+    using Pair = double __attribute__((vector_size(16)));
+    constexpr int kPairs = static_cast<int>(P / 2);
+    Pair acc[kPairs];
+    for (int l = 0; l < kPairs; ++l) std::memcpy(&acc[l], out + 2 * l, 16);
+    for (int64_t k = 0; k < count; ++k) {
+      const Pair vk = {v[k], v[k]};
+      for (int l = 0; l < kPairs; ++l) {
+        Pair x, y;
+        std::memcpy(&x, a[k] + 2 * l, 16);
+        std::memcpy(&y, b[k] + 2 * l, 16);
+        acc[l] += vk * (x * y);
+      }
+    }
+    for (int l = 0; l < kPairs; ++l) std::memcpy(out + 2 * l, &acc[l], 16);
+    return;
+  }
+#endif
+  for (int64_t k = 0; k < count; ++k) VecFma3<P>(v[k], a[k], b[k], out, n);
+}
+
 /// Σ a[r]·b[r]. a and b may point at the same data (reads only).
 ///
 /// Accumulates into four independent partial sums (one per 256-bit lane
@@ -207,6 +241,11 @@ struct RankKernelTable {
   void (*mul_accum)(double* dst, const double* src, int64_t n);
   void (*fma3)(double v, const double* a, const double* b, double* out,
                int64_t n);
+  // out += Σ_k v[k]·(a[k] ∗ b[k]), k < count: `count` fma3 calls in order,
+  // bitwise, with the running row held in registers (VecFiberFma3).
+  void (*fiber_fma3)(const double* v, const double* const* a,
+                     const double* const* b, int64_t count, double* out,
+                     int64_t n);
   double (*dot)(const double* a, const double* b, int64_t n);
   void (*gram_row_delta)(double new_i, const double* new_row, double old_i,
                          const double* old_row, double* g, int64_t n);

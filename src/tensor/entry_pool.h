@@ -2,9 +2,13 @@
 //
 // Non-zero entries live in one SoA pool — parallel arrays of coordinates,
 // values, and per-mode bucket back-pointers — addressed by dense uint32_t
-// pool ids. A separate open-addressed hash index (FNV-1a over the
-// coordinate, power-of-two capacity, linear probing, tombstone-free
-// backshift deletion) maps coordinate → pool id. Erasure swaps the last
+// pool ids. The bucket back-pointers are M-wide: one flat array holding M
+// positions per entry for an M-mode tensor (12 B per entry at M = 3). A
+// separate open-addressed hash index (FNV-1a over the coordinate,
+// power-of-two capacity, linear probing, tombstone-free backshift
+// deletion) maps coordinate → pool id. The index is kept at most a quarter
+// full, in growth and in Reserve alike: probe and backshift runs stay
+// near one slot, for 16–32 B of table per entry. Erasure swaps the last
 // pool entry into the vacated id so the pool stays dense; the caller is
 // told which entry moved so it can repoint external references (the
 // per-(mode, index) buckets of SparseTensor).
@@ -19,7 +23,7 @@
 #ifndef SLICENSTITCH_TENSOR_ENTRY_POOL_H_
 #define SLICENSTITCH_TENSOR_ENTRY_POOL_H_
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -36,7 +40,10 @@ class EntryPool {
   /// Sentinel for "no entry" / empty hash slot.
   static constexpr uint32_t kInvalidId = 0xFFFFFFFFu;
 
-  EntryPool() { table_.assign(kMinTableCapacity, kInvalidId); }
+  /// An empty pool of `modes`-mode entries.
+  explicit EntryPool(int modes) : modes_(modes) {
+    table_.assign(kMinTableCapacity, kInvalidId);
+  }
 
   uint32_t size() const { return static_cast<uint32_t>(values_.size()); }
   bool empty() const { return values_.empty(); }
@@ -46,9 +53,9 @@ class EntryPool {
   void Reserve(size_t expected) {
     coords_.reserve(expected);
     values_.reserve(expected);
-    bucket_pos_.reserve(expected);
+    bucket_pos_.reserve(expected * static_cast<size_t>(modes_));
     size_t capacity = kMinTableCapacity;
-    while (expected * 10 >= capacity * 7) capacity <<= 1;
+    while (expected * kMaxLoadInverse > capacity) capacity <<= 1;
     if (capacity > table_.size()) Rehash(capacity);
   }
 
@@ -63,13 +70,14 @@ class EntryPool {
   double value(uint32_t id) const { return values_[id]; }
   double& value(uint32_t id) { return values_[id]; }
 
-  /// Per-mode position of entry `id` inside its (mode, index) buckets;
-  /// maintained by the owner (SparseTensor), relocated intact on EraseSwap.
-  const std::array<uint32_t, kMaxTensorModes>& bucket_pos(uint32_t id) const {
-    return bucket_pos_[id];
+  /// The M per-mode positions of entry `id` inside its (mode, index)
+  /// buckets; maintained by the owner (SparseTensor), relocated intact on
+  /// EraseSwap. Invalidated by growth (FindOrInsert, Reserve).
+  const uint32_t* bucket_pos(uint32_t id) const {
+    return bucket_pos_.data() + static_cast<size_t>(id) * modes_;
   }
-  std::array<uint32_t, kMaxTensorModes>& bucket_pos(uint32_t id) {
-    return bucket_pos_[id];
+  uint32_t* bucket_pos(uint32_t id) {
+    return bucket_pos_.data() + static_cast<size_t>(id) * modes_;
   }
 
   /// Id of the entry at `key`, or kInvalidId when absent. O(1) expected.
@@ -80,21 +88,24 @@ class EntryPool {
 
   /// Single-probe upsert: returns (id, inserted). When `key` is absent a
   /// new entry holding `value` is created; an existing entry is untouched.
-  /// One probe sequence serves both the miss detection and the insert slot.
+  /// One probe sequence serves both the miss detection and the insert slot,
+  /// except when the insert grows the index, which probes again.
   std::pair<uint32_t, bool> FindOrInsert(const ModeIndex& key, double value) {
-    // Growth runs before the probe so the found slot stays valid; it may
-    // fire one insertion early when the key turns out to exist — harmless.
-    if ((values_.size() + 1) * 10 >= table_.size() * 7) {
-      Rehash(table_.size() * 2);
-    }
     ++hash_lookups_;
-    const size_t slot = FindSlot(key);
+    size_t slot = FindSlot(key);
     if (table_[slot] != kInvalidId) return {table_[slot], false};
+    // Only a real insert grows the index, so updates of existing cells
+    // never allocate.
+    if ((values_.size() + 1) * kMaxLoadInverse > table_.size()) {
+      Rehash(table_.size() * 2);
+      ++hash_lookups_;
+      slot = FindSlot(key);
+    }
     const uint32_t id = size();
     table_[slot] = id;
     coords_.push_back(key);
     values_.push_back(value);
-    bucket_pos_.emplace_back();
+    bucket_pos_.resize(bucket_pos_.size() + static_cast<size_t>(modes_));
     return {id, true};
   }
 
@@ -117,12 +128,12 @@ class EntryPool {
       table_[slot] = id;
       coords_[id] = coords_[last];
       values_[id] = values_[last];
-      bucket_pos_[id] = bucket_pos_[last];
+      std::copy_n(bucket_pos(last), modes_, bucket_pos(id));
       moved = last;
     }
     coords_.pop_back();
     values_.pop_back();
-    bucket_pos_.pop_back();
+    bucket_pos_.resize(bucket_pos_.size() - static_cast<size_t>(modes_));
     return moved;
   }
 
@@ -133,6 +144,8 @@ class EntryPool {
 
  private:
   static constexpr size_t kMinTableCapacity = 16;
+  // The index holds at most capacity / kMaxLoadInverse entries.
+  static constexpr size_t kMaxLoadInverse = 4;
 
   size_t Home(const ModeIndex& key, size_t mask) const {
     return ModeIndexHash{}(key) & mask;
@@ -187,7 +200,9 @@ class EntryPool {
   // SoA entry arrays, indexed by pool id.
   std::vector<ModeIndex> coords_;
   std::vector<double> values_;
-  std::vector<std::array<uint32_t, kMaxTensorModes>> bucket_pos_;
+  int modes_;
+  // bucket_pos_[id·M + m]: position of entry id inside its mode-m bucket.
+  std::vector<uint32_t> bucket_pos_;
   // Open-addressed coordinate → id index; power-of-two capacity.
   std::vector<uint32_t> table_;
   mutable uint64_t hash_lookups_ = 0;

@@ -17,6 +17,10 @@ inline void OtherTwoModes(int mode, int* a, int* b) {
   *b = mode == 2 ? 1 : 2;
 }
 
+// Fiber terms per fiber_fma3 call: MttkrpInto gathers a fiber's values and
+// factor-row pointers into stack arrays of this length.
+constexpr int kFiberBlock = 64;
+
 // Body of HadamardRowProduct. The padded lanes end at 0.0: they start at
 // 0.0, and every accumulated factor row has zero padding.
 inline void HadamardRowProductImpl(const std::vector<Matrix>& factors,
@@ -46,43 +50,92 @@ void HadamardRowProduct(const std::vector<Matrix>& factors,
                          factors[0].stride(), kr);
 }
 
+void FiberIndex::Build(const SparseTensor& x) {
+  const int modes = x.num_modes();
+  const uint32_t n = static_cast<uint32_t>(x.nnz());
+  nnz_ = n;
+  starts_.resize(static_cast<size_t>(modes));
+  ids_.resize(static_cast<size_t>(modes));
+  // Counting sort by row, rows sized by the bucket degrees. starts[i + 1]
+  // begins as row i's first slot and serves as its placement cursor, so
+  // after the pool walk it has advanced to row i + 1's first slot.
+  uint32_t* cursor[kMaxTensorModes];
+  uint32_t* ids[kMaxTensorModes];
+  for (int m = 0; m < modes; ++m) {
+    std::vector<uint32_t>& starts = starts_[static_cast<size_t>(m)];
+    const int64_t rows = x.dim(m);
+    starts.resize(static_cast<size_t>(rows) + 1);
+    starts[0] = 0;
+    uint32_t position = 0;
+    for (int64_t i = 0; i < rows; ++i) {
+      starts[static_cast<size_t>(i) + 1] = position;
+      position += static_cast<uint32_t>(x.Degree(m, i));
+    }
+    cursor[m] = starts.data() + 1;
+    ids_[static_cast<size_t>(m)].resize(n);
+    ids[m] = ids_[static_cast<size_t>(m)].data();
+  }
+  uint32_t id = 0;
+  x.ForEachNonzero([&](const ModeIndex& index, double) {
+    for (int m = 0; m < modes; ++m) ids[m][cursor[m][index[m]]++] = id;
+    ++id;
+  });
+}
+
 Matrix Mttkrp(const SparseTensor& x, const std::vector<Matrix>& factors,
               int mode) {
   const int64_t rank = factors[0].cols();
   Matrix out(x.dim(mode), rank);
   AlignedVector had(rank);
-  MttkrpInto(x, factors, mode, out, had.data());
+  FiberIndex fibers;
+  fibers.Build(x);
+  MttkrpInto(x, fibers, factors, mode, out, had.data(),
+             GetRankKernelTable(factors[0].stride()));
   return out;
 }
 
-void MttkrpInto(const SparseTensor& x, const std::vector<Matrix>& factors,
-                int mode, Matrix& out, double* had) {
-  MttkrpInto(x, factors, mode, out, had,
-             GetRankKernelTable(factors[0].stride()));
-}
-
-void MttkrpInto(const SparseTensor& x, const std::vector<Matrix>& factors,
-                int mode, Matrix& out, double* had,
-                const RankKernelTable& kr) {
+void MttkrpInto(const SparseTensor& x, const FiberIndex& fibers,
+                const std::vector<Matrix>& factors, int mode, Matrix& out,
+                double* had, const RankKernelTable& kr) {
   const int64_t rank = factors[0].cols();
   const int64_t padded = factors[0].stride();
   SNS_CHECK(out.rows() == x.dim(mode) && out.cols() == rank);
+  SNS_CHECK(fibers.nnz() == x.nnz());
   out.SetZero();
   if (factors.size() == 3) {
     int a, b;
     OtherTwoModes(mode, &a, &b);
     const Matrix& fa = factors[static_cast<size_t>(a)];
     const Matrix& fb = factors[static_cast<size_t>(b)];
-    x.ForEachNonzero([&](const ModeIndex& index, double value) {
-      kr.fma3(value, fa.Row(index[a]), fb.Row(index[b]), out.Row(index[mode]),
-              padded);
-    });
+    double values[kFiberBlock];
+    const double* rows_a[kFiberBlock];
+    const double* rows_b[kFiberBlock];
+    for (int64_t i = 0; i < out.rows(); ++i) {
+      double* row = out.Row(i);
+      int count = 0;
+      for (const SparseTensor::SliceEntry entry :
+           x.Entries(fibers.Row(mode, i))) {
+        values[count] = entry.value;
+        rows_a[count] = fa.Row(entry.coords[a]);
+        rows_b[count] = fb.Row(entry.coords[b]);
+        if (++count == kFiberBlock) {
+          kr.fiber_fma3(values, rows_a, rows_b, count, row, padded);
+          count = 0;
+        }
+      }
+      if (count > 0) kr.fiber_fma3(values, rows_a, rows_b, count, row, padded);
+    }
     return;
   }
-  x.ForEachNonzero([&](const ModeIndex& index, double value) {
-    HadamardRowProductImpl(factors, index, mode, had, rank, padded, kr);
-    kr.axpy(value, had, out.Row(index[mode]), padded);
-  });
+  for (int64_t i = 0; i < out.rows(); ++i) {
+    double* row = out.Row(i);
+    for (const SparseTensor::SliceEntry entry :
+         x.Entries(fibers.Row(mode, i))) {
+      HadamardRowProductImpl(factors, entry.coords, mode, had, rank, padded,
+                             kr);
+      kr.axpy(entry.value, had, row, padded);
+    }
+  }
 }
 
 void MttkrpRow(const SparseTensor& x, const std::vector<Matrix>& factors,

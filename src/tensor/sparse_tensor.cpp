@@ -7,7 +7,7 @@
 namespace sns {
 
 SparseTensor::SparseTensor(std::vector<int64_t> dims, int64_t expected_nnz)
-    : dims_(std::move(dims)) {
+    : dims_(std::move(dims)), pool_(static_cast<int>(dims_.size())) {
   SNS_CHECK(!dims_.empty());
   SNS_CHECK(static_cast<int>(dims_.size()) <= kMaxTensorModes);
   buckets_.resize(dims_.size());
@@ -100,7 +100,7 @@ bool SparseTensor::IndexInBounds(const ModeIndex& index) const {
 
 void SparseTensor::InsertIntoBuckets(uint32_t id) {
   const ModeIndex& index = pool_.coords(id);
-  auto& pos = pool_.bucket_pos(id);
+  uint32_t* pos = pool_.bucket_pos(id);
   for (int m = 0; m < index.size(); ++m) {
     auto& bucket = buckets_[m][static_cast<size_t>(index[m])];
     pos[m] = static_cast<uint32_t>(bucket.size());
@@ -110,7 +110,7 @@ void SparseTensor::InsertIntoBuckets(uint32_t id) {
 
 void SparseTensor::RemoveFromBuckets(uint32_t id) {
   const ModeIndex& index = pool_.coords(id);
-  const auto& pos = pool_.bucket_pos(id);
+  const uint32_t* pos = pool_.bucket_pos(id);
   for (int m = 0; m < index.size(); ++m) {
     auto& bucket = buckets_[m][static_cast<size_t>(index[m])];
     const uint32_t p = pos[m];
@@ -135,8 +135,8 @@ void SparseTensor::SerializeTo(serial::Writer& w) const {
     const ModeIndex& coords = pool_.coords(id);
     for (int m = 0; m < modes; ++m) w.I32(coords[m]);
     w.F64(pool_.value(id));
-    const auto& pos = pool_.bucket_pos(id);
-    for (int m = 0; m < modes; ++m) w.U32(pos[static_cast<size_t>(m)]);
+    const uint32_t* pos = pool_.bucket_pos(id);
+    for (int m = 0; m < modes; ++m) w.U32(pos[m]);
   }
 }
 
@@ -166,7 +166,9 @@ Status SparseTensor::RestoreFrom(serial::Reader& r) {
   if (n > EntryPool::kInvalidId) {
     return Status::DataLoss("implausible tensor nnz " + std::to_string(n));
   }
-  pool_.Reserve(static_cast<size_t>(n));
+  // The pool grows as entries arrive rather than reserving `n` up front: a
+  // corrupt count then ends in a short read (kDataLoss), not in a
+  // multi-gigabyte allocation.
   for (uint64_t i = 0; i < n; ++i) {
     ModeIndex coords;
     for (int m = 0; m < modes; ++m) {
@@ -190,10 +192,8 @@ Status SparseTensor::RestoreFrom(serial::Reader& r) {
     if (!inserted || id != static_cast<uint32_t>(i)) {
       return Status::DataLoss("duplicate tensor cell at " + coords.ToString());
     }
-    auto& pos = pool_.bucket_pos(id);
-    for (int m = 0; m < modes; ++m) {
-      SNS_RETURN_IF_ERROR(r.U32(&pos[static_cast<size_t>(m)]));
-    }
+    uint32_t* pos = pool_.bucket_pos(id);
+    for (int m = 0; m < modes; ++m) SNS_RETURN_IF_ERROR(r.U32(&pos[m]));
   }
   // Rebuild the per-(mode, index) buckets at the serialized positions: size
   // each bucket to its degree, then place every pool id at its recorded
@@ -211,11 +211,11 @@ Status SparseTensor::RestoreFrom(serial::Reader& r) {
   }
   for (uint32_t id = 0; id < count; ++id) {
     const ModeIndex& coords = pool_.coords(id);
-    const auto& pos = pool_.bucket_pos(id);
+    const uint32_t* pos = pool_.bucket_pos(id);
     for (int m = 0; m < modes; ++m) {
       auto& bucket =
           buckets_[static_cast<size_t>(m)][static_cast<size_t>(coords[m])];
-      const uint32_t p = pos[static_cast<size_t>(m)];
+      const uint32_t p = pos[m];
       if (p >= bucket.size() || bucket[p] != EntryPool::kInvalidId) {
         return Status::DataLoss("inconsistent bucket position for entry at " +
                                 coords.ToString());
@@ -233,7 +233,7 @@ void SparseTensor::EraseEntry(uint32_t id) {
     // The entry formerly at `moved` now lives at `id`; repoint the bucket
     // slots that still hold its old pool id.
     const ModeIndex& index = pool_.coords(id);
-    const auto& pos = pool_.bucket_pos(id);
+    const uint32_t* pos = pool_.bucket_pos(id);
     for (int m = 0; m < index.size(); ++m) {
       auto& bucket = buckets_[m][static_cast<size_t>(index[m])];
       SNS_DCHECK(pos[m] < bucket.size() && bucket[pos[m]] == moved);

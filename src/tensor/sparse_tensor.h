@@ -5,9 +5,11 @@
 // maps coordinate → id; and for every mode m and index i, buckets_[m][i]
 // lists the *pool ids* (not coordinate copies) of the non-zeros whose m-th
 // mode index is i. Each pool entry carries its position inside all of its M
-// buckets, so bucket removal is swap-erase O(1) and pool erasure is
-// swap-with-last O(M). That gives the SliceNStitch updaters exactly the
-// operations they need at the cost bounds of Theorems 1-4:
+// buckets (M-wide, 4 B per mode), so bucket removal is swap-erase O(1) and
+// pool erasure is swap-with-last O(M). The coordinate index stays at most a
+// quarter full, so a point update's probe is about one slot. That gives the
+// SliceNStitch updaters exactly the operations they need at the cost bounds
+// of Theorems 1-4:
 //   - deg(m, i)          — |X_(m)(i, :)|, Theorem 4's degree, O(1),
 //   - slice iteration    — the sum over Ω^(m)_i in Eqs. 12 & 21, hash-free
 //                          and value-carrying via Slice(),
@@ -17,13 +19,14 @@
 // Iteration invalidation rules: Slice() views and entry references are
 // invalidated by ANY mutation (Add/Set/Clear/Reserve) — erasure swaps
 // arbitrary entries into freed ids and growth reallocates the pool arrays.
-// ForEachNonzero visits entries in unspecified order and must not mutate
-// the tensor from inside the callback.
+// ForEachNonzero visits entries in pool-id order and must not mutate the
+// tensor from inside the callback.
 
 #ifndef SLICENSTITCH_TENSOR_SPARSE_TENSOR_H_
 #define SLICENSTITCH_TENSOR_SPARSE_TENSOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -109,29 +112,37 @@ class SparseTensor {
     const uint32_t* id_;
   };
 
-  /// Value-carrying view of the non-zeros with the m-th mode index fixed to
-  /// i (unspecified order). Invalidated by any mutation of the tensor.
+  /// Value-carrying view of a list of pool ids, e.g. the non-zeros with the
+  /// m-th mode index fixed to i. Invalidated by any mutation of the tensor.
   class SliceView {
    public:
-    SliceView(const EntryPool* pool, const std::vector<uint32_t>* ids)
+    SliceView(const EntryPool* pool, std::span<const uint32_t> ids)
         : pool_(pool), ids_(ids) {}
-    size_t size() const { return ids_->size(); }
-    bool empty() const { return ids_->empty(); }
-    SliceIterator begin() const { return {pool_, ids_->data()}; }
-    SliceIterator end() const { return {pool_, ids_->data() + ids_->size()}; }
+    size_t size() const { return ids_.size(); }
+    bool empty() const { return ids_.empty(); }
+    SliceIterator begin() const { return {pool_, ids_.data()}; }
+    SliceIterator end() const { return {pool_, ids_.data() + ids_.size()}; }
 
    private:
     const EntryPool* pool_;
-    const std::vector<uint32_t>* ids_;
+    std::span<const uint32_t> ids_;
   };
 
-  /// The slice Ω^(mode)_index as a (coords, value) range.
+  /// The slice Ω^(mode)_index as a (coords, value) range, in bucket order
+  /// (unspecified).
   SliceView Slice(int mode, int64_t index) const {
-    return SliceView(&pool_, &buckets_[mode][index]);
+    return SliceView(&pool_, buckets_[mode][index]);
   }
 
-  /// Invokes fn(coordinate, value) for every non-zero (unspecified order).
-  /// A linear walk over the pool arrays; fn must not mutate the tensor.
+  /// The entries at the given pool ids (each in [0, nnz())), in that order
+  /// — e.g. a FiberIndex row (tensor/mttkrp.h).
+  SliceView Entries(std::span<const uint32_t> ids) const {
+    return SliceView(&pool_, ids);
+  }
+
+  /// Invokes fn(coordinate, value) for every non-zero in pool-id order
+  /// (ids 0, 1, ..., nnz() − 1). A linear walk over the pool arrays; fn
+  /// must not mutate the tensor.
   template <typename Fn>
   void ForEachNonzero(Fn&& fn) const {
     const uint32_t n = pool_.size();

@@ -276,6 +276,7 @@ ReferenceRun ReferenceAlsDecompose(const SparseTensor& x, int64_t rank,
                                    const AlsOptions& options, Rng& rng) {
   CpdState state(KruskalModel::Random(x.dims(), rank, rng));
   AlsWorkspace ws;
+  ws.fibers.Build(x);
   ReferenceRun run;
   double previous_fitness = state.model.Fitness(x);
   for (int iter = 0; iter < options.max_iterations; ++iter) {
@@ -343,6 +344,7 @@ TEST(AlsStoppingRuleTest, SweepFitnessMatchesExactFitness) {
       const double x_norm_sq = x.FrobeniusNormSquared();
       CpdState state(KruskalModel::Random(x.dims(), 3, rng));
       AlsWorkspace ws;
+      ws.fibers.Build(x);
       for (int sweep = 0; sweep < 12; ++sweep) {
         AlsSweep(x, state, normalize, ws);
         const double exact = state.model.Fitness(x);

@@ -177,6 +177,26 @@ TEST(SparseTensorSerialTest, RestoreRejectsShapeMismatch) {
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
 }
 
+// A corrupt nnz field may claim up to 2³²−1 entries. Restore grows the pool
+// as entries arrive instead of reserving the claimed count up front, so
+// this ends in a short read (kDataLoss), not in a ~150 GB allocation.
+TEST(SparseTensorSerialTest, RestoreRejectsHostileNnzWithoutReserving) {
+  SparseTensor tensor({4, 3, 2});
+  tensor.Add(ModeIndex({1, 1, 1}), 2.0);
+  serial::StringSink sink;
+  serial::Writer w(sink);
+  tensor.SerializeTo(w);
+  std::string bytes = sink.TakeData();
+  // nnz follows the mode count (u32) and the three extents (i64).
+  const uint64_t hostile = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + 4 + 3 * 8, &hostile, sizeof(hostile));
+
+  SparseTensor restored({4, 3, 2});
+  serial::StringSource source(bytes);
+  serial::Reader r(source);
+  EXPECT_EQ(restored.RestoreFrom(r).code(), StatusCode::kDataLoss);
+}
+
 // --- Window schedule validation -------------------------------------------
 
 // Scheduled entries end a window snapshot, in (due, seq) order; for a
@@ -374,6 +394,30 @@ TEST(CheckpointFaultInjectionTest, ImplausiblePayloadSizeFailsTyped) {
   const uint64_t absurd = 1ull << 33;
   std::memcpy(over_cap.data() + 8, &absurd, sizeof(absurd));
   EXPECT_EQ(TryRestore(over_cap).code(), StatusCode::kDataLoss);
+}
+
+// The same hostile nnz behind a valid CRC: the window tensor's header in
+// the payload is re-sealed after the edit, so only the tensor restore can
+// catch it.
+TEST(CheckpointFaultInjectionTest, HostileTensorNnzBehindValidCrcIsDataLoss) {
+  std::string bytes = MakeValidCheckpoint();
+  // The window tensor's header: 3 modes, extents {6, 5, W}, then nnz.
+  serial::StringSink pattern_sink;
+  serial::Writer pattern_writer(pattern_sink);
+  pattern_writer.U32(3);
+  pattern_writer.I64(6);
+  pattern_writer.I64(5);
+  const std::string pattern = pattern_sink.TakeData();
+  const size_t at = bytes.find(pattern, 16);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(pattern, at + 1), std::string::npos);
+  const uint64_t hostile = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + at + pattern.size() + 8, &hostile,
+              sizeof(hostile));
+  // The CRC trailer covers the payload between the 16-byte header and it.
+  const uint32_t crc = Crc32(bytes.data() + 16, bytes.size() - 20);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  EXPECT_EQ(TryRestore(bytes).code(), StatusCode::kDataLoss);
 }
 
 TEST(CheckpointFaultInjectionTest, MagicAndVersionSkewAreTyped) {

@@ -574,8 +574,8 @@ TEST(DifferentialTest, SnsMatBitwiseIdenticalToNaiveSweep) {
     Rng events_copy = events;
     WindowDelta delta_real =
         RandomEvent(window_real, events, w_size, dims[0], dims[1]);
-    WindowDelta delta_ref =
-        RandomEvent(window_ref, events_copy, w_size, dims[0], dims[1]);
+    // The same event on the reference window; its delta is not needed.
+    RandomEvent(window_ref, events_copy, w_size, dims[0], dims[1]);
     updater.OnEvent(window_real, delta_real, state_real);
 
     // Naive sweep on the reference state.

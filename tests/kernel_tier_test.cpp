@@ -49,9 +49,15 @@ class ScopedForceGenericEnv {
 TEST(CpuFeaturesTest, ProbeIsConsistent) {
   const CpuFeatures f = DetectCpuFeatures();
   // Feature implications on real hardware: avx512f ⊂ avx2 ⊂ avx ⊂ sse4.2.
-  if (f.avx512f) EXPECT_TRUE(f.avx2);
-  if (f.avx2) EXPECT_TRUE(f.avx);
-  if (f.avx) EXPECT_TRUE(f.sse42);
+  if (f.avx512f) {
+    EXPECT_TRUE(f.avx2);
+  }
+  if (f.avx2) {
+    EXPECT_TRUE(f.avx);
+  }
+  if (f.avx) {
+    EXPECT_TRUE(f.sse42);
+  }
   EXPECT_FALSE(CpuFeaturesSummary().empty());
 }
 

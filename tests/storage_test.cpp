@@ -1,12 +1,15 @@
 // Storage-engine tests for the flat entry pool behind SparseTensor:
-//   - a randomized differential test driving thousands of Add / Set /
+//   - randomized differential tests driving thousands of Add / Set /
 //     erase-to-zero / slice-iterate / degree operations against a naive
-//     std::map reference model,
+//     std::map reference model at 3, 4 and 8 modes, with restore round
+//     trips along the way,
+//   - a pin of the Taxi warm window's serialized layout bytes,
 //   - a window-churn test asserting no near-zero residue or bucket leak
 //     after full slide-expiry cycles,
 //   - a regression guard pinning the hash-lookup count of slice iteration
 //     and MttkrpRow at zero (the pre-refactor code re-hashed per entry).
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -15,7 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
+#include "common/serial.h"
+#include "data/datasets.h"
+#include "data/synthetic.h"
 #include "stream/continuous_window.h"
 #include "tensor/kruskal.h"
 #include "tensor/mttkrp.h"
@@ -78,15 +85,26 @@ void ExpectMatchesReference(const SparseTensor& x,
   }
 }
 
+// Serializes `x` with its storage layout (pool order, bucket positions).
+std::string LayoutBytes(const SparseTensor& x) {
+  serial::StringSink sink;
+  serial::Writer w(sink);
+  x.SerializeTo(w);
+  return sink.TakeData();
+}
+
 // 10k randomized storage operations (inserts, in-place updates, exact
 // erase-to-zero, Set-to-zero, occasional Clear) diffed against the naive
 // reference model. Exercises pool swap-erase, hash backshift deletion, and
-// table growth across many load factors.
-TEST(EntryPoolStorageTest, DifferentialAgainstMapReference) {
-  Rng rng(0xd1ff);
-  const std::vector<int64_t> dims = {6, 5, 4};
+// table growth: the live cells reach into the hundreds, so the coordinate
+// index (kept at most a quarter full) doubles several times from its
+// 16-slot start. Every 2,500 steps the tensor is serialized, restored into
+// a fresh tensor, checked, and the run continues on the restored copy.
+void RunMapDifferential(const std::vector<int64_t>& dims, uint64_t seed) {
+  Rng rng(seed);
   SparseTensor x(dims);
   ReferenceModel reference;
+  int64_t peak_nnz = 0;
 
   auto apply_reference = [&](const ModeIndex& index, double value) {
     if (std::fabs(value) < SparseTensor::kZeroEpsilon) {
@@ -127,9 +145,34 @@ TEST(EntryPoolStorageTest, DifferentialAgainstMapReference) {
 
     // Light invariants every step; deep diff periodically.
     ASSERT_EQ(x.nnz(), static_cast<int64_t>(reference.size()));
+    peak_nnz = std::max(peak_nnz, x.nnz());
     if (step % 500 == 499) ExpectMatchesReference(x, reference, dims);
+    if (step % 2500 == 2499) {
+      const std::string bytes = LayoutBytes(x);
+      SparseTensor restored(dims);
+      serial::StringSource source(bytes);
+      serial::Reader r(source);
+      ASSERT_TRUE(restored.RestoreFrom(r).ok()) << "step " << step;
+      ExpectMatchesReference(restored, reference, dims);
+      ASSERT_EQ(LayoutBytes(restored), bytes) << "step " << step;
+      x = std::move(restored);
+    }
   }
   ExpectMatchesReference(x, reference, dims);
+  // 16 slots hold 4 cells; this many live cells took ≥ 4 doublings.
+  EXPECT_GT(peak_nnz, 64);
+}
+
+TEST(EntryPoolStorageTest, DifferentialAgainstMapReference) {
+  RunMapDifferential({6, 5, 4}, 0xd1ff);
+}
+
+TEST(EntryPoolStorageTest, DifferentialAgainstMapReference4Modes) {
+  RunMapDifferential({5, 4, 3, 3}, 0xd1f4);
+}
+
+TEST(EntryPoolStorageTest, DifferentialAgainstMapReference8Modes) {
+  RunMapDifferential({3, 2, 2, 3, 2, 2, 3, 2}, 0xd1f8);
 }
 
 // The reserve hint must be semantics-free: a pre-sized tensor behaves
@@ -148,6 +191,36 @@ TEST(EntryPoolStorageTest, ReserveHintDoesNotChangeBehavior) {
   plain.ForEachNonzero([&](const ModeIndex& index, double value) {
     EXPECT_DOUBLE_EQ(reserved.Get(index), value);
   });
+}
+
+// The NY-Taxi preset's warm window — its first window span ingested as a
+// stream fills it, with and without the expected_nnz hint — serializes to
+// these bytes, pinned at the commit before the coordinate index went to a
+// quarter load and the bucket positions went M-wide. The bytes hold pool
+// order and every bucket position, so neither change may move a pool id or
+// a bucket slot; they hold no computed floating-point result, so the kernel
+// tier plays no part.
+TEST(EntryPoolStorageTest, TaxiWarmWindowLayoutBytesArePinned) {
+  const DatasetSpec spec = NewYorkTaxiPreset();
+  auto stream = GenerateSyntheticStream(spec.stream);
+  ASSERT_TRUE(stream.ok());
+  const int64_t warmup_end = spec.WarmupEndTime();
+  for (const bool hinted : {false, true}) {
+    SCOPED_TRACE(hinted ? "expected_nnz hint" : "no hint");
+    ContinuousTensorWindow window(
+        stream.value().mode_dims(), spec.engine.window_size,
+        spec.engine.period,
+        hinted ? stream.value().CountTuplesThrough(warmup_end) : 0);
+    for (const Tuple& tuple : stream.value().tuples()) {
+      if (tuple.time > warmup_end) break;
+      window.AdvanceTo(tuple.time);
+      window.Ingest(tuple);
+    }
+    const std::string bytes = LayoutBytes(window.tensor());
+    EXPECT_EQ(window.tensor().nnz(), 3032);
+    EXPECT_EQ(bytes.size(), 97060u);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x5e5e2e1du);
+  }
 }
 
 // Full window churn: ingest several window spans of tuples, drain every
