@@ -35,7 +35,6 @@
 #include "data/datasets.h"
 #include "linalg/cholesky.h"
 #include "losses/loss_function.h"
-#include "linalg/pseudo_inverse.h"
 #include "linalg/rank_dispatch.h"
 #include "linalg/simd.h"
 #include "stream/continuous_window.h"
@@ -581,8 +580,9 @@ void BM_WindowOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowOnly);
 
-// Gram-solver ablation: R x R solve via the production path (Cholesky with
-// pseudoinverse fallback) vs always-pseudoinverse.
+// Gram-solver ablation: a one-shot R x R solve (SolveRowAgainstGram) on a
+// full-rank Gram vs a reused solver on a singular one
+// (BM_GramSolveRankDeficient).
 void BM_GramSolveProduction(benchmark::State& state) {
   const int64_t rank = state.range(0);
   Rng rng(13);
@@ -653,20 +653,25 @@ void BM_StoragePerEventFlatPool(benchmark::State& state) {
 }
 BENCHMARK(BM_StoragePerEventFlatPool)->Unit(benchmark::kMicrosecond);
 
-void BM_GramSolvePinvOnly(benchmark::State& state) {
+// Factorize + Solve on a rank-R/2 Gram through a reused GramSolver, as the
+// unconstrained updaters run it: half the pivots drop, and H† comes from
+// the dropped-pivot factor plus one Cholesky of LL' (core/gram_solve.h).
+void BM_GramSolveRankDeficient(benchmark::State& state) {
   const int64_t rank = state.range(0);
   Rng rng(13);
-  Matrix a = Matrix::RandomNormal(4 * rank, rank, rng);
+  Matrix a = Matrix::RandomNormal(rank / 2, rank, rng);
   Matrix h = MultiplyTransposeA(a, a);
   std::vector<double> b(static_cast<size_t>(rank), 1.0);
   std::vector<double> x(static_cast<size_t>(rank));
+  GramSolver solver;
   for (auto _ : state) {
-    Matrix pinv = PseudoInverseSymmetric(h);
-    RowTimesMatrix(b.data(), pinv, x.data());
+    solver.Factorize(h);
+    solver.Solve(b.data(), x.data());
     benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_GramSolvePinvOnly)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_GramSolveRankDeficient)->Arg(10)->Arg(20)->Arg(40);
 
 // ---------------------------------------------------------------------------
 // Per-kernel microbenchmarks of the SIMD kernel layer (the rank-R inner

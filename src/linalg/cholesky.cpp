@@ -1,10 +1,24 @@
 #include "linalg/cholesky.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/rank_dispatch.h"
 
 namespace sns {
+namespace {
+
+// Interchanges indices k < p of the symmetric trailing matrix held in the
+// upper triangle of `u` (rows and columns ≥ k), and columns k and p of the
+// finished factor rows above k (LAPACK dpstrf's interchange).
+void SwapSymmetricIndices(Matrix& u, int64_t k, int64_t p) {
+  for (int64_t i = 0; i < k; ++i) std::swap(u(i, k), u(i, p));
+  std::swap(u(k, k), u(p, p));
+  for (int64_t i = k + 1; i < p; ++i) std::swap(u(k, i), u(i, p));
+  for (int64_t j = p + 1; j < u.rows(); ++j) std::swap(u(k, j), u(p, j));
+}
+
+}  // namespace
 
 bool CholeskyFactorizeInto(const Matrix& a, Matrix& lower) {
   SNS_CHECK(a.rows() == a.cols());
@@ -47,26 +61,46 @@ void CholeskySolveInPlace(const Matrix& lower, double* SNS_RESTRICT x) {
   }
 }
 
-bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper) {
+int64_t CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper) {
   return CholeskyFactorizeUpperInto(a, upper, GetRankKernelTable(0));
 }
 
-bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
-                                const RankKernelTable& kr) {
+int64_t CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
+                                   const RankKernelTable& kr, int64_t* perm) {
   SNS_CHECK(a.rows() == a.cols());
   SNS_CHECK(upper.rows() == a.rows() && upper.cols() == a.rows());
   SNS_DCHECK(kr.padded_rank == 0);  // Suffix lengths are runtime values.
   const int64_t n = a.rows();
   // Stage the upper triangle of (symmetric) a row by row.
+  double max_diag = 0.0;
   for (int64_t i = 0; i < n; ++i) {
     const double* SNS_RESTRICT a_row = a.Row(i);
     double* SNS_RESTRICT u_row = upper.Row(i);
     for (int64_t j = i; j < n; ++j) u_row[j] = a_row[j];
+    max_diag = std::max(max_diag, a_row[i]);
+    if (perm != nullptr) perm[i] = i;
   }
+  const double drop_floor = kCholeskyDropRatio * max_diag;
+  int64_t kept = 0;
   for (int64_t k = 0; k < n; ++k) {
+    if (perm != nullptr) {
+      int64_t p = k;
+      for (int64_t i = k + 1; i < n; ++i) {
+        if (upper(i, i) > upper(p, p)) p = i;
+      }
+      if (p != k) {
+        SwapSymmetricIndices(upper, k, p);
+        std::swap(perm[k], perm[p]);
+      }
+    }
     double* SNS_RESTRICT row_k = upper.Row(k);
     const double pivot = row_k[k];
-    if (pivot <= 0.0 || !std::isfinite(pivot)) return false;
+    if (!(pivot > drop_floor) || !std::isfinite(pivot)) {
+      // Dropped: a zero row contributes nothing to the trailing update.
+      std::fill(row_k + k, row_k + n, 0.0);
+      continue;
+    }
+    ++kept;
     const double diag = std::sqrt(pivot);
     row_k[k] = diag;
     const double inv = 1.0 / diag;
@@ -80,7 +114,7 @@ bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
       kr.axpy(-u_ki, row_k + i, upper.Row(i) + i, n - i);
     }
   }
-  return true;
+  return kept;
 }
 
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x) {
@@ -93,8 +127,13 @@ void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
   const int64_t n = upper.rows();
   // Forward elimination U' y = b, walking rows of U: once y[k] is final,
   // subtract its contribution U(k, k+1..n)·y[k] from the pending suffix.
+  // A dropped pivot's zero row yields 0 in both passes.
   for (int64_t k = 0; k < n; ++k) {
     const double* row = upper.Row(k);
+    if (row[k] == 0.0) {
+      x[k] = 0.0;
+      continue;
+    }
     const double y_k = x[k] / row[k];
     x[k] = y_k;
     kr.axpy(-y_k, row + k + 1, x + k + 1, n - k - 1);
@@ -102,6 +141,7 @@ void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
   // Back substitution U x = y: contiguous row-suffix dots.
   for (int64_t i = n - 1; i >= 0; --i) {
     const double* row = upper.Row(i);
+    if (row[i] == 0.0) continue;
     x[i] = (x[i] - kr.dot(row + i + 1, x + i + 1, n - i - 1)) / row[i];
   }
 }

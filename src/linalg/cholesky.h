@@ -1,7 +1,7 @@
-// Cholesky (LL') factorization for symmetric positive-definite systems.
-// Used as the fast path for solving Gram systems when they are well
-// conditioned; callers fall back to the pseudoinverse (pseudo_inverse.h)
-// when factorization fails.
+// Cholesky factorizations of symmetric positive (semi-)definite matrices.
+// The row-suffix U'U form drops numerically zero pivots instead of failing,
+// so it also factors the singular Grams whose pseudo-inverse GramSolver
+// (core/gram_solve.h) builds from that factor.
 
 #ifndef SLICENSTITCH_LINALG_CHOLESKY_H_
 #define SLICENSTITCH_LINALG_CHOLESKY_H_
@@ -25,6 +25,11 @@ bool CholeskyFactorizeInto(const Matrix& a, Matrix& lower);
 /// the solution on exit (n = lower order values).
 void CholeskySolveInPlace(const Matrix& lower, double* x);
 
+/// Relative floor of CholeskyFactorizeUpperInto's drop rule (τ). Every
+/// Schur pivot is at most its diagonal entry, so a factor that drops
+/// nothing has pivot ratios min/max diag(U) ≥ √τ.
+inline constexpr double kCholeskyDropRatio = 1e-12;
+
 /// Right-looking factorization A = U'U with U upper-triangular in row-major
 /// storage — the hot-path form used by GramSolver. Storing the transposed
 /// factor makes every inner loop a CONTIGUOUS row-suffix operation: the
@@ -32,23 +37,32 @@ void CholeskySolveInPlace(const Matrix& lower, double* x);
 /// independent-element axpy the autovectorizer handles at full width),
 /// where the classic lower/left-looking form walks strided columns or
 /// latency-bound sequential dots. Only the upper triangle including the
-/// diagonal is written and later read; entries below the diagonal may
-/// carry stale values in a reused buffer. Returns false on a non-positive
-/// or non-finite pivot. Rounds differently than CholeskyFactorizeInto
-/// (incremental vs deferred subtraction), so the two factorization paths
-/// agree to solver tolerance, not bitwise.
+/// diagonal is written and later read (of `a` too); entries below the
+/// diagonal may carry stale values in a reused buffer. Rounds differently
+/// than CholeskyFactorizeInto (incremental vs deferred subtraction), so the
+/// two factorization paths agree to solver tolerance, not bitwise.
 ///
-/// The table-taking overloads run the suffix axpys/dots through a
-/// RUNTIME-LENGTH RankKernelTable (padded_rank == 0 — the row suffixes are
-/// unaligned and of arbitrary length), letting the engine pin a kernel
-/// tier; the plain overloads resolve the process-wide auto tier per call.
-bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper);
-bool CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
-                                const RankKernelTable& kr);
+/// Drop rule: a Schur pivot ≤ kCholeskyDropRatio · max diag(a), or a
+/// non-finite one, is dropped — its row of U is zeroed, so the remaining
+/// rows L factor a ≈ L'L. Returns the number of kept pivots (n when a is
+/// numerically positive definite); the factor is complete either way.
+///
+/// With `perm` (n entries) the factorization pivots on the diagonal: step
+/// k takes the largest remaining Schur diagonal, so P'aP ≈ U'U with
+/// perm[k] the index of a behind row k of U. The kept pivots then come
+/// first and the returned count is a's numerical rank — rank-revealing,
+/// where natural order can leave a rounding-level pivot far above the drop
+/// floor when the leading block is ill-conditioned. Without `perm` the
+/// pivot order is a's own.
+int64_t CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper);
+int64_t CholeskyFactorizeUpperInto(const Matrix& a, Matrix& upper,
+                                   const RankKernelTable& kr,
+                                   int64_t* perm = nullptr);
 
 /// In-place solve A x = b against CholeskyFactorizeUpperInto's factor:
 /// U' y = b by forward elimination over row suffixes of U, then U x = y by
-/// back substitution with contiguous row-suffix dots.
+/// back substitution with contiguous row-suffix dots. Entries at dropped
+/// pivots come out 0 (with none dropped, this is the exact solve).
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x);
 void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
                                const RankKernelTable& kr);
@@ -58,8 +72,8 @@ void CholeskySolveUpperInPlace(const Matrix& upper, double* x,
 /// solve a block of rows at once with one row per SIMD lane, the generic
 /// tier interleaves rows per elimination step. Every solution is bitwise
 /// identical to CholeskySolveUpperInPlace's on that row with the same
-/// table. `lanes` is scratch of n × kSolveRowsBlock doubles
-/// (linalg/rank_dispatch.h).
+/// table. Requires a factor with no dropped pivot. `lanes` is scratch of
+/// n × kSolveRowsBlock doubles (linalg/rank_dispatch.h).
 void CholeskySolveUpperRows(const Matrix& upper, const Matrix& b, Matrix& x,
                             double* lanes, const RankKernelTable& kr);
 

@@ -204,8 +204,8 @@ TEST(AlsTest, ReferenceFitnessIsReasonablyHighOnLowRankData) {
 }
 
 TEST(GramSolveTest, AgreesWithPinvOnSingularGram) {
-  // Duplicated component ⇒ rank-deficient H; the solve must fall back to the
-  // pseudoinverse rather than blowing up.
+  // Duplicated component ⇒ rank-deficient H; the solve must return the
+  // pseudoinverse solution rather than blowing up.
   Matrix a(4, 2);
   for (int64_t i = 0; i < 4; ++i) {
     a(i, 0) = static_cast<double>(i + 1);

@@ -38,6 +38,8 @@
 #include "core/sns_rnd_plus.h"
 #include "core/sns_vec.h"
 #include "core/sns_vec_plus.h"
+#include "linalg/rank_dispatch.h"
+#include "linalg/simd.h"
 #include "stream/continuous_window.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/scoped_timer.h"
@@ -175,13 +177,24 @@ WindowDelta RandomEvent(SparseTensor& window, Rng& rng, int w_size,
 
 // Runs `updater` over `total` random events on a dense-ish window and
 // returns the number of heap allocations performed by OnEvent calls after
-// the first `warmup` events (which are allowed to size workspaces).
+// the first `warmup` events (which are allowed to size workspaces). With
+// `final_state`, the state after the last event is copied out.
 std::uint64_t SteadyStateAllocations(EventUpdater& updater, int warmup,
-                                     int measured, uint64_t seed) {
+                                     int measured, uint64_t seed,
+                                     bool duplicate_component = false,
+                                     CpdState* final_state = nullptr) {
   Rng rng(seed);
   const int w_size = 4;
   const std::vector<int64_t> dims = {6, 5, w_size};
   KruskalModel model = KruskalModel::Random(dims, 4, rng);
+  if (duplicate_component) {
+    // Component 1 repeats component 0 in every factor: every Gram, and
+    // every Hadamard product of Grams, is singular.
+    for (int m = 0; m < model.num_modes(); ++m) {
+      Matrix& factor = model.factor(m);
+      for (int64_t i = 0; i < factor.rows(); ++i) factor(i, 1) = factor(i, 0);
+    }
+  }
   SparseTensor window = DenseWindowFromModel(model);
   CpdState state(model);
 
@@ -195,7 +208,37 @@ std::uint64_t SteadyStateAllocations(EventUpdater& updater, int warmup,
         g_heap_allocations.load(std::memory_order_relaxed);
     if (step >= warmup) counted += after - before;
   }
+  if (final_state != nullptr) *final_state = state;
   return counted;
+}
+
+// Numerical rank of H = ∗_{n≠m} Q(n) as the solver sees it: the trace of
+// the projection H H†.
+double SolverRankOfModeGram(const CpdState& state, int m) {
+  const Matrix h = HadamardOfGramsExcept(state.grams, m);
+  const Matrix projection =
+      Multiply(h, SolveRowsAgainstGram(h, Matrix::Identity(h.rows())));
+  double trace = 0.0;
+  for (int64_t i = 0; i < h.rows(); ++i) trace += projection(i, i);
+  return trace;
+}
+
+// SNS-VEC and SNS-RND on a duplicated component: their row rules solve
+// against singular Grams on every event, where pivots drop and H† comes
+// from the solver's preallocated scratch. The Grams must still be singular
+// after the run (rank 3 of 4 in every mode), or the stream would not have
+// exercised that path.
+void ExpectRankDeficientStreamAllocatesNothing(EventUpdater& updater,
+                                               uint64_t seed) {
+  CpdState final_state;
+  EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, seed,
+                                   /*duplicate_component=*/true,
+                                   &final_state),
+            0u);
+  for (int m = 0; m < final_state.num_modes(); ++m) {
+    EXPECT_NEAR(SolverRankOfModeGram(final_state, m), 3.0, 1e-6)
+        << "mode " << m;
+  }
 }
 
 // Canary: the counting allocator must actually be intercepting operator
@@ -232,6 +275,16 @@ TEST(ZeroAllocationTest, SnsRndPlusSteadyStateEventsAllocateNothing) {
   SnsRndPlusUpdater updater(/*sample_threshold=*/2, /*clip_bound=*/50.0,
                             /*seed=*/7);
   EXPECT_EQ(SteadyStateAllocations(updater, 20, 80, 0xa110c4), 0u);
+}
+
+TEST(ZeroAllocationTest, SnsVecRankDeficientEventsAllocateNothing) {
+  SnsVecUpdater updater;
+  ExpectRankDeficientStreamAllocatesNothing(updater, 0xa110c6);
+}
+
+TEST(ZeroAllocationTest, SnsRndRankDeficientEventsAllocateNothing) {
+  SnsRndUpdater updater(/*sample_threshold=*/2, /*seed=*/7);
+  ExpectRankDeficientStreamAllocatesNothing(updater, 0xa110c7);
 }
 
 TEST(ZeroAllocationTest, SnsMatSteadyStateEventsAllocateNothing) {
@@ -583,12 +636,19 @@ TEST(DifferentialTest, SnsMatBitwiseIdenticalToNaiveSweep) {
       Matrix mttkrp = Mttkrp(window_ref, state_ref.model.factors(), m);
       Matrix h = HadamardOfGramsExcept(state_ref.grams, m);
       Matrix updated = SolveRowsAgainstGram(h, mttkrp);
+      // Column norms through the sweep's own table kernel: its fma3 with
+      // v = 1 rounds each square before the add, where a plain
+      // `norm_sq += u * u` may be contracted into one fused multiply-add
+      // when the build targets FMA.
+      AlignedVector norm_sq(updated.stride());
+      const RankKernelTable& kr =
+          GetRankKernelTable(PaddedRank(state_ref.rank()));
+      for (int64_t i = 0; i < updated.rows(); ++i) {
+        kr.fma3(1.0, updated.Row(i), updated.Row(i), norm_sq.data(),
+                updated.stride());
+      }
       for (int64_t r = 0; r < state_ref.rank(); ++r) {
-        double norm_sq = 0.0;
-        for (int64_t i = 0; i < updated.rows(); ++i) {
-          norm_sq += updated(i, r) * updated(i, r);
-        }
-        const double norm = std::sqrt(norm_sq);
+        const double norm = std::sqrt(norm_sq[r]);
         state_ref.model.lambda()[static_cast<size_t>(r)] = norm;
         if (norm > 0.0) {
           const double inv = 1.0 / norm;

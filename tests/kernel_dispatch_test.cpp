@@ -506,7 +506,7 @@ TEST_P(KernelDispatchTest, UpperCholeskyMatchesLowerFactorization) {
 
   Matrix lower(n, n), upper(n, n);
   ASSERT_TRUE(CholeskyFactorizeInto(spd, lower));
-  ASSERT_TRUE(CholeskyFactorizeUpperInto(spd, upper));
+  ASSERT_EQ(CholeskyFactorizeUpperInto(spd, upper), n);
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = i; j < n; ++j) {
       ASSERT_NEAR(upper(i, j), lower(j, i),

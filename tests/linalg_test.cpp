@@ -1,5 +1,6 @@
 // Unit and property tests for the dense linear algebra substrate.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -12,9 +13,7 @@
 #include "core/gram_solve.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
-#include "linalg/pseudo_inverse.h"
 #include "linalg/rank_dispatch.h"
-#include "linalg/symmetric_eigen.h"
 
 namespace sns {
 namespace {
@@ -172,39 +171,15 @@ TEST(CholeskyTest, RejectsIndefiniteMatrix) {
   EXPECT_FALSE(Cholesky::Factorize(a).ok());
 }
 
-TEST(SymmetricEigenTest, DiagonalizesKnownMatrix) {
-  Matrix a(2, 2);
-  a(0, 0) = 2.0; a(0, 1) = 1.0;
-  a(1, 0) = 1.0; a(1, 1) = 2.0;
-  SymmetricEigen eig = DecomposeSymmetric(a);
-  EXPECT_NEAR(eig.values[0], 3.0, 1e-10);
-  EXPECT_NEAR(eig.values[1], 1.0, 1e-10);
-}
-
-TEST(SymmetricEigenTest, ReconstructsRandomSymmetric) {
-  Rng rng(16);
-  Matrix b = Matrix::RandomNormal(8, 8, rng);
-  Matrix a = Add(b, b.Transposed());  // symmetric, possibly indefinite
-  SymmetricEigen eig = DecomposeSymmetric(a);
-  // V diag(values) V' == A.
-  Matrix d(8, 8);
-  for (int64_t i = 0; i < 8; ++i) d(i, i) = eig.values[i];
-  Matrix recon = Multiply(Multiply(eig.vectors, d), eig.vectors.Transposed());
-  EXPECT_LT(MaxAbsDiff(recon, a), 1e-8);
-}
-
-TEST(SymmetricEigenTest, EigenvectorsOrthonormal) {
-  Rng rng(17);
-  Matrix a = RandomSpd(7, rng);
-  SymmetricEigen eig = DecomposeSymmetric(a);
-  Matrix vtv = MultiplyTransposeA(eig.vectors, eig.vectors);
-  EXPECT_LT(MaxAbsDiff(vtv, Matrix::Identity(7)), 1e-9);
+// H† through GramSolver: the rows of I·H†, i.e. SolveRows of the identity.
+Matrix PseudoInverse(const Matrix& h) {
+  return SolveRowsAgainstGram(h, Matrix::Identity(h.rows()));
 }
 
 TEST(PseudoInverseTest, InvertsFullRankSpd) {
   Rng rng(18);
   Matrix a = RandomSpd(6, rng);
-  Matrix pinv = PseudoInverseSymmetric(a);
+  Matrix pinv = PseudoInverse(a);
   EXPECT_LT(MaxAbsDiff(Multiply(a, pinv), Matrix::Identity(6)), 1e-8);
 }
 
@@ -213,7 +188,7 @@ TEST(PseudoInverseTest, MoorePenroseConditionsOnSingularMatrix) {
   Rng rng(19);
   Matrix b = Matrix::RandomNormal(3, 6, rng);  // rank <= 3
   Matrix a = MultiplyTransposeA(b, b);         // 6x6 singular PSD
-  Matrix p = PseudoInverseSymmetric(a);
+  Matrix p = PseudoInverse(a);
   Matrix apa = Multiply(Multiply(a, p), a);
   Matrix pap = Multiply(Multiply(p, a), p);
   Matrix ap = Multiply(a, p);
@@ -226,17 +201,16 @@ TEST(PseudoInverseTest, MoorePenroseConditionsOnSingularMatrix) {
 
 TEST(PseudoInverseTest, ZeroMatrixHasZeroPinv) {
   Matrix zero(4, 4);
-  Matrix p = PseudoInverseSymmetric(zero);
+  Matrix p = PseudoInverse(zero);
   EXPECT_EQ(p.MaxAbs(), 0.0);
 }
 
 TEST(PseudoInverseTest, SolveRowSystemMatchesLeastSquares) {
   Rng rng(20);
   Matrix h = RandomSpd(5, rng);
-  Matrix h_pinv = PseudoInverseSymmetric(h);
   std::vector<double> b = {1, 2, 3, 4, 5};
   std::vector<double> x(5);
-  SolveRowSystem(h_pinv, b.data(), x.data());
+  SolveRowAgainstGram(h, b.data(), x.data());
   // x H should give back b for a full-rank H.
   std::vector<double> recon(5, 0.0);
   for (int64_t j = 0; j < 5; ++j) {
@@ -245,7 +219,37 @@ TEST(PseudoInverseTest, SolveRowSystemMatchesLeastSquares) {
   for (int64_t j = 0; j < 5; ++j) EXPECT_NEAR(recon[j], b[j], 1e-8);
 }
 
-// Parameterized sweep: pinv agrees with Cholesky-based solve on random SPD
+// The four Moore–Penrose conditions on random exactly rank-deficient Grams
+// H = B'B (B is rank×n, rank < n), measured relative to ‖H‖ and ‖H†‖ (the
+// products HH† and H†H are projections, of norm 1). A factorization that
+// keeps a roundoff-level pivot fails them by many orders of magnitude.
+TEST(PseudoInverseTest, MoorePenroseConditionsOnRandomRankDeficientGrams) {
+  Rng rng(21);
+  for (int trial = 0; trial < 240; ++trial) {
+    const int64_t n = 2 + static_cast<int64_t>(rng.NextUint64(19));
+    // Rank n−1 half the time (the hardest case: one roundoff pivot among
+    // live ones), uniform in [0, n−1) otherwise.
+    const int64_t rank =
+        trial % 2 == 0 ? n - 1
+                       : static_cast<int64_t>(rng.NextUint64(
+                             static_cast<uint64_t>(n - 1)));
+    SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" +
+                 std::to_string(n) + " rank=" + std::to_string(rank));
+    const Matrix b = Matrix::RandomNormal(rank, n, rng);
+    const Matrix h = MultiplyTransposeA(b, b);
+    const Matrix p = PseudoInverse(h);
+    const double h_norm = std::max(h.MaxAbs(), 1e-300);
+    const double p_norm = std::max(p.MaxAbs(), 1e-300);
+    const Matrix hp = Multiply(h, p);
+    const Matrix ph = Multiply(p, h);
+    EXPECT_LT(MaxAbsDiff(Multiply(hp, h), h) / h_norm, 1e-9);
+    EXPECT_LT(MaxAbsDiff(Multiply(ph, p), p) / p_norm, 1e-9);
+    EXPECT_LT(MaxAbsDiff(hp, hp.Transposed()), 1e-9);
+    EXPECT_LT(MaxAbsDiff(ph, ph.Transposed()), 1e-9);
+  }
+}
+
+// Parameterized sweep: H† agrees with Cholesky-based solve on random SPD
 // systems across sizes.
 class PinvVsCholeskyTest : public ::testing::TestWithParam<int> {};
 
@@ -253,14 +257,14 @@ TEST_P(PinvVsCholeskyTest, AgreesWithCholeskySolve) {
   const int n = GetParam();
   Rng rng(100 + n);
   Matrix h = RandomSpd(n, rng, 1.0);
-  Matrix h_pinv = PseudoInverseSymmetric(h);
+  Matrix h_pinv = PseudoInverse(h);
   std::vector<double> b(n);
   for (int i = 0; i < n; ++i) b[i] = rng.Normal();
   auto chol = Cholesky::Factorize(h);
   ASSERT_TRUE(chol.ok());
   std::vector<double> x_chol = chol.value().Solve(b);
   std::vector<double> x_pinv(n);
-  SolveRowSystem(h_pinv, b.data(), x_pinv.data());  // H symmetric: same sol.
+  RowTimesMatrix(b.data(), h_pinv, x_pinv.data());  // H symmetric: same sol.
   for (int i = 0; i < n; ++i) EXPECT_NEAR(x_pinv[i], x_chol[i], 1e-7);
 }
 
@@ -410,9 +414,9 @@ TEST(GramSolverRowsTest, SolveRowsOnSingularGramTakesPinvPathBitwise) {
   for (const KernelTier tier : RunnableTiers()) {
     SCOPED_TRACE(KernelTierName(tier));
     const int64_t n = 7;
-    // A zero last row/column: the Cholesky pivot vanishes, so the solver
-    // falls back to H†, which maps every right-hand side to a zero last
-    // component.
+    // A zero last row/column: the Cholesky pivot drops, so the solver
+    // takes the pivoted H† path, which maps every right-hand side to a
+    // zero last component.
     Matrix h = RandomSpd(n, rng, 1.0);
     for (int64_t k = 0; k < n; ++k) h(n - 1, k) = h(k, n - 1) = 0.0;
     GramSolver solver;
